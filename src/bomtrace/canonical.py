@@ -56,10 +56,6 @@ def canonical_bytes(value: Any) -> bytes:
     return text.encode("utf-8")
 
 
-def canonical_text(value: Any) -> str:
-    return canonical_bytes(value).decode("utf-8")
-
-
 def from_canonical(data: bytes | str) -> Any:
     """Parse canonical JSON produced by :func:`canonical_bytes`."""
     if isinstance(data, bytes):

@@ -64,8 +64,20 @@ class Gateway:
     ):
         self.store = Store(data_dir)
         self.ledger = Ledger(self.store)
+        # BoLs per BoM: a BoL's shadow items are the components of its
+        # (frozen) BoM, so this answers which runs used a component
+        self._bols_by_bom: dict[str, list[str]] = {}
+        for record in self.store.scan(KIND_BOL):
+            bom_id = json.loads(record.data.decode("utf-8"))["bom_id"]
+            self._bols_by_bom.setdefault(bom_id, []).append(record.key)
+        entity_ids = (
+            record.key
+            for kind in (KIND_COMPONENT, KIND_ASSEMBLY, KIND_BOM, KIND_BOL)
+            for record in self.store.scan(kind)
+        )
         self.ids = idmod.IdGenerator(
-            deterministic=deterministic_ids, start=self.store.record_count + 1
+            deterministic=deterministic_ids,
+            start=idmod.next_counter(entity_ids) if deterministic_ids else 1,
         )
         self._clock = clock or wall_clock_ms
         self._lock = threading.RLock()
@@ -352,6 +364,7 @@ class Gateway:
             self.ledger.append_entry(
                 ledgermod.BOL_CREATED, canonical_bytes(payload), extra_writes=writes
             )
+            self._bols_by_bom.setdefault(bom_id, []).append(bol.id)
             return self.get_bol(bol.id)
 
     def resolve_access(self, bol_id: str, component_id: str) -> dict[str, str]:
@@ -503,16 +516,8 @@ class Gateway:
     def find_uses(self, component_id: str) -> lineage.ComponentUses:
         with self._lock:
             self._require_component(component_id)
-            bol_ids = [
-                record.key
-                for record in self.store.scan(
-                    KIND_BOL, referencing_component=component_id
-                )
-                if component_id
-                in Bol.from_dict(json.loads(record.data.decode("utf-8"))).shadow_items
-            ]
             return lineage.component_uses(
-                component_id, self._all_boms(), self._all_assemblies(), bol_ids
+                component_id, self._all_boms(), self._all_assemblies(), self._bols_by_bom
             )
 
     def bom_detail(self, bom_id: str) -> dict[str, Any]:

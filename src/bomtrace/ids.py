@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import re
 import secrets
+from typing import Iterable
 
 DATA_SOURCE = "ds"
 ARTIFACT = "af"
@@ -47,12 +48,17 @@ def is_component_id(value: str) -> bool:
     return matches_kind(value, DATA_SOURCE) or matches_kind(value, ARTIFACT)
 
 
+def next_counter(values: Iterable[str]) -> int:
+    """The first counter above that of every entity id in ``values``."""
+    return max((int(v.split("_", 1)[1], 16) for v in values if is_entity_id(v)), default=0) + 1
+
+
 class IdGenerator:
     """Issues prefixed ids, randomly or from a deterministic counter.
 
     ``start`` seeds the counter in deterministic mode; callers reopening a
-    store pass the stored record count so reissued counters never collide
-    with persisted ids.
+    store pass :func:`next_counter` of the persisted ids, so reissued
+    counters never collide with them.
     """
 
     def __init__(self, deterministic: bool = False, start: int = 1):

@@ -107,8 +107,9 @@ def component_uses(
     component_id: str,
     boms: Iterable[Bom],
     assemblies_by_id: Mapping[str, Assembly],
-    bol_ids_containing: Iterable[str],
+    bols_by_bom: Mapping[str, Iterable[str]],
 ) -> ComponentUses:
+    """Static use sites of a component, and the runs (BoLs) of those BoMs."""
     sites = []
     for bom in boms:
         for aid in bom.assemblies:
@@ -120,7 +121,9 @@ def component_uses(
             if component_id in assembly.outputs:
                 sites.append(UseSite(bom.id, aid, "output"))
     sites.sort(key=lambda s: (s.bom_id, s.assembly_id, s.role))
-    return ComponentUses(static=tuple(sites), dynamic=tuple(sorted(bol_ids_containing)))
+    bom_ids = {site.bom_id for site in sites}
+    bol_ids = {bol_id for bom_id in bom_ids for bol_id in bols_by_bom.get(bom_id, ())}
+    return ComponentUses(static=tuple(sites), dynamic=tuple(sorted(bol_ids)))
 
 
 # -- nested detail views -------------------------------------------------

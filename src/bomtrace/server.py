@@ -12,7 +12,8 @@ import os
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from urllib.parse import urlsplit
 
-from .api import dispatch
+from .api import JSON_TYPE, dispatch
+from .canonical import canonical_bytes
 from .gateway import Gateway
 
 logger = logging.getLogger(__name__)
@@ -24,19 +25,33 @@ class _Handler(BaseHTTPRequestHandler):
 
     def _handle(self, method: str) -> None:
         parts = urlsplit(self.path)
-        length = int(self.headers.get("Content-Length") or 0)
+        header = self.headers.get("Content-Length") or "0"
+        try:
+            length = int(header)
+        except ValueError:
+            length = -1
+        if length < 0:
+            # the body cannot be framed, so neither can the next request
+            self.close_connection = True
+            doc = {"code": "MALFORMED_BODY", "message": f"bad Content-Length {header!r}"}
+            self._reply(400, JSON_TYPE, canonical_bytes(doc))
+            return
         body = self.rfile.read(length) if length else None
-        status, content_type, payload = dispatch(
+        self._reply(*dispatch(
             self.server.gateway,
             method,
             parts.path,
             parts.query,
             body,
             base_path=self.server.base_path,
-        )
+        ))
+
+    def _reply(self, status: int, content_type: str, payload: bytes) -> None:
         self.send_response(status)
         self.send_header("Content-Type", content_type)
         self.send_header("Content-Length", str(len(payload)))
+        if self.close_connection:
+            self.send_header("Connection", "close")
         self.end_headers()
         self.wfile.write(payload)
 

@@ -3,16 +3,15 @@
 A single append-only NDJSON log (``store.ndjson`` inside the data directory)
 holds one committed transaction per line; each transaction carries one or
 more keyed writes. Opening a store replays the log into memory, so reads are
-dictionary lookups. Appends are flushed and fsynced before they are
+dictionary lookups. Appends are written and fsynced before they are
 acknowledged, and a torn final line (crash mid-append) is discarded on the
-next open — a write either fully commits or never happened.
+next open — a write either fully commits or never happened. An append that
+fails part-way is cut back off the log at once; if even that fails, the store
+refuses further writes until it is reopened.
 
-Two secondary indexes are maintained as part of every commit:
-
-* entity references — every well-formed entity id appearing anywhere in a
-  record's serialized form, so "which assemblies/BoMs/BoLs mention component
-  X" is O(matches) instead of a full scan;
-* record names — the top-level ``name`` field, for prefix lookups.
+The store is a plain keyed log: reads are by key, or every record of one kind
+in key order. Indexes over record contents belong to the layers that know
+what the records mean.
 """
 
 from __future__ import annotations
@@ -27,7 +26,6 @@ from pathlib import Path
 
 from .canonical import canonical_bytes
 from .errors import NotFound, RevisionConflict, StorageFailure
-from .ids import is_entity_id
 
 logger = logging.getLogger(__name__)
 
@@ -63,43 +61,6 @@ class WriteOp:
     expected_revision: int | None = None
 
 
-def extract_refs(data: bytes) -> set[str]:
-    """Collect every entity id mentioned anywhere in a JSON record."""
-    try:
-        doc = json.loads(data.decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError):
-        return set()
-    refs: set[str] = set()
-
-    def walk(node):
-        if isinstance(node, str):
-            if is_entity_id(node):
-                refs.add(node)
-        elif isinstance(node, dict):
-            for key, value in node.items():
-                if is_entity_id(key):
-                    refs.add(key)
-                walk(value)
-        elif isinstance(node, list):
-            for item in node:
-                walk(item)
-
-    walk(doc)
-    return refs
-
-
-def _extract_name(data: bytes) -> str | None:
-    try:
-        doc = json.loads(data.decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError):
-        return None
-    if isinstance(doc, dict):
-        name = doc.get("name")
-        if isinstance(name, str):
-            return name
-    return None
-
-
 class Store:
     """Single-writer, multi-reader keyed store backed by one log file."""
 
@@ -108,21 +69,26 @@ class Store:
         self._path = self._dir / LOG_NAME
         self._lock = threading.RLock()
         self._records: dict[str, StoredRecord] = {}
-        self._refs: dict[str, set[str]] = {}
-        self._names: dict[str, str] = {}
+        self._broken: str | None = None  # why writes are refused, if they are
         try:
             self._dir.mkdir(parents=True, exist_ok=True)
-            self._replay()
-            self._fh = open(self._path, "ab")
+            created = not self._path.exists()
+            self._size = 0 if created else self._replay()
+            self._fh = open(self._path, "ab", buffering=0)
+            if created:
+                # the new directory entry must be durable before any append is
+                fd = os.open(self._dir, os.O_RDONLY)
+                try:
+                    os.fsync(fd)
+                finally:
+                    os.close(fd)
         except OSError as exc:
             raise StorageFailure(f"cannot open store at {self._dir}: {exc}") from exc
 
     # -- recovery ------------------------------------------------------
 
-    def _replay(self) -> None:
-        if not self._path.exists():
-            self._path.touch()
-            return
+    def _replay(self) -> int:
+        """Load every complete line; returns the length of the kept log."""
         raw = self._path.read_bytes()
         end = raw.rfind(b"\n") + 1  # bytes [0:end] hold complete lines
         offset = 0
@@ -141,29 +107,16 @@ class Store:
             logger.warning("discarding torn trailing record in %s", self._path)
             with open(self._path, "r+b") as fh:
                 fh.truncate(end)
+        return end
 
     def _apply(self, txn: dict) -> None:
         for write in txn["writes"]:
-            record = StoredRecord(
+            self._records[write["key"]] = StoredRecord(
                 key=write["key"],
                 kind=write["kind"],
                 data=base64.b64decode(write["data_b64"]),
                 revision=write["revision"],
             )
-            self._index(record)
-
-    def _index(self, record: StoredRecord) -> None:
-        old = self._records.get(record.key)
-        if old is not None:
-            for ref in extract_refs(old.data):
-                self._refs.get(ref, set()).discard(record.key)
-            self._names.pop(record.key, None)
-        self._records[record.key] = record
-        for ref in extract_refs(record.data):
-            self._refs.setdefault(ref, set()).add(record.key)
-        name = _extract_name(record.data)
-        if name is not None:
-            self._names[record.key] = name
 
     # -- writes --------------------------------------------------------
 
@@ -176,6 +129,8 @@ class Store:
     def put_many(self, writes: list[WriteOp]) -> list[int]:
         """Commit several writes atomically (one log line, one fsync)."""
         with self._lock:
+            if self._broken is not None:
+                raise StorageFailure(f"store refuses writes until reopened: {self._broken}")
             revisions = []
             staged = []
             seen: dict[str, int] = {}
@@ -203,14 +158,26 @@ class Store:
                 )
             line = canonical_bytes({"writes": staged}) + b"\n"
             try:
-                self._fh.write(line)
-                self._fh.flush()
+                view = memoryview(line)
+                while view:
+                    view = view[self._fh.write(view):]
                 os.fsync(self._fh.fileno())
             except OSError as exc:
+                self._cut_back(exc)
                 raise StorageFailure(f"append failed: {exc}") from exc
+            self._size += len(line)
             for op, revision in zip(writes, revisions):
-                self._index(StoredRecord(op.key, op.kind, op.data, revision))
+                self._records[op.key] = StoredRecord(op.key, op.kind, op.data, revision)
             return revisions
+
+    def _cut_back(self, cause: OSError) -> None:
+        """Drop whatever part of a failed append reached the log."""
+        try:
+            os.ftruncate(self._fh.fileno(), self._size)
+            os.fsync(self._fh.fileno())
+        except OSError as exc:
+            logger.error("cannot cut failed append off %s: %s", self._path, exc)
+            self._broken = f"{cause}; cut-back failed: {exc}"
 
     # -- reads ---------------------------------------------------------
 
@@ -225,33 +192,13 @@ class Store:
         with self._lock:
             return key in self._records
 
-    def scan(
-        self,
-        kind: str,
-        name_prefix: str | None = None,
-        referencing_component: str | None = None,
-    ) -> list[StoredRecord]:
-        """Records of ``kind`` in ascending key order, optionally filtered.
-
-        ``referencing_component`` accepts any entity id and matches records
-        whose serialized form mentions it (components, assemblies, whatever).
-        """
+    def scan(self, kind: str) -> list[StoredRecord]:
+        """Records of ``kind`` in ascending key order."""
         with self._lock:
-            if referencing_component is not None:
-                keys = set(self._refs.get(referencing_component, ()))
-            else:
-                keys = set(self._records)
-            out = []
-            for key in sorted(keys):
-                record = self._records.get(key)
-                if record is None or record.kind != kind:
-                    continue
-                if name_prefix is not None:
-                    name = self._names.get(key)
-                    if name is None or not name.startswith(name_prefix):
-                        continue
-                out.append(record)
-            return out
+            return sorted(
+                (record for record in self._records.values() if record.kind == kind),
+                key=lambda record: record.key,
+            )
 
     @property
     def record_count(self) -> int:

@@ -124,6 +124,24 @@ def test_mutations_carry_request_ids(gw):
     assert doc2["request_id"] != doc["request_id"]
 
 
+def test_deterministic_ids_after_reopen_skip_persisted_ids(tmp_path):
+    # request ids draw on the same counter as entity ids, so the record count
+    # alone would reissue the id of a persisted component after a reopen
+    created = []
+    for _ in range(2):
+        gateway = Gateway(tmp_path / "data", deterministic_ids=True)
+        try:
+            for name in ("a", "b"):
+                status, doc, _ = call(
+                    gateway, "POST", "/components", {"kind": "data_source", "name": name}
+                )
+                assert status == 201, doc
+                created.append(doc["component"]["id"])
+        finally:
+            gateway.close()
+    assert len(set(created)) == 4
+
+
 def test_observation_response_carries_index(gw):
     bom = define_hpc(gw)
     result = component_by_name(bom, "Result")

@@ -4,7 +4,8 @@ import pytest
 
 from bomtrace.canonical import canonical_bytes
 from bomtrace.errors import NotInScope, UnknownBol, UnknownId
-from conftest import build_hpc, build_two_stage_chain
+from bomtrace.gateway import Gateway
+from conftest import FIXED_NOW, build_hpc, build_two_stage_chain
 from graphutil import (
     global_graph,
     has_cycle,
@@ -196,6 +197,43 @@ def test_observation_payload_mentioning_component_not_a_use(gw):
     gw.record_observation(bol.id, other["data1"], f"derived from {parts['scene']}")
     uses = gw.find_uses(parts["scene"])
     assert bol.id not in uses.dynamic
+
+
+def test_find_uses_dynamic_matches_bol_shadow_items(gw):
+    rng = random.Random(2024)
+    eco = random_ecosystem(gw, rng, max_components=30, max_assemblies=10, max_boms=4)
+    for bom_id in eco["boms"]:
+        for _ in range(rng.randint(0, 2)):
+            bol = gw.instantiate_bol(bom_id)
+            cid = rng.choice(sorted(bol.shadow_items))
+            # payloads that name other components are not uses of them
+            gw.record_observation(bol.id, cid, " ".join(rng.sample(eco["components"], 3)))
+    bols = gw._all_bols()
+    for cid in eco["components"]:
+        expected = sorted(bol.id for bol in bols if cid in bol.shadow_items)
+        assert list(gw.find_uses(cid).dynamic) == expected, cid
+
+
+def test_find_uses_dynamic_unchanged_after_reopen(tmp_path):
+    def open_gateway():
+        return Gateway(tmp_path / "data", deterministic_ids=True, clock=lambda: FIXED_NOW)
+
+    gateway = open_gateway()
+    hpc = build_hpc(gateway)
+    chain = build_two_stage_chain(gateway)
+    hpc_bols = {gateway.instantiate_bol(hpc["bom"]).id for _ in range(2)}
+    gateway.instantiate_bol(chain["bom"])
+    targets = (hpc["scene"], hpc["result"], chain["data1p"], chain["art2p"])
+    before = {cid: gateway.find_uses(cid).dynamic for cid in targets}
+    gateway.close()
+    assert set(before[hpc["scene"]]) == hpc_bols
+    gateway = open_gateway()
+    try:
+        assert {cid: gateway.find_uses(cid).dynamic for cid in targets} == before
+        late = gateway.instantiate_bol(chain["bom"])
+        assert late.id in gateway.find_uses(chain["art2p"]).dynamic
+    finally:
+        gateway.close()
 
 
 # -- lineage report -------------------------------------------------------------

@@ -270,16 +270,6 @@ def test_cycle_verdict_matches_oracle_on_arbitrary_candidates(tmp_path):
     assert saw_cyclic > 0 and saw_clean > 0  # the cases exercised both verdicts
 
 
-def test_scan_assemblies_referencing_case_study_component(gw):
-    parts = build_hpc(gw)
-    from bomtrace.store import KIND_ASSEMBLY, KIND_BOM
-
-    hits = gw.store.scan(KIND_ASSEMBLY, referencing_component=parts["scene"])
-    assert [r.key for r in hits] == [parts["assembly"]]
-    hits = gw.store.scan(KIND_BOM, name_prefix="HPC")
-    assert [r.key for r in hits] == [parts["bom"]]
-
-
 # -- update & freeze --------------------------------------------------------
 
 

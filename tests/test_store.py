@@ -1,4 +1,6 @@
-import json
+import errno
+import os
+import stat
 import subprocess
 import sys
 
@@ -7,8 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bomtrace.canonical import canonical_bytes
-from bomtrace.errors import NotFound, RevisionConflict
-from bomtrace.ids import is_entity_id
+from bomtrace.errors import NotFound, RevisionConflict, StorageFailure
 from bomtrace.store import LOG_NAME, Store, WriteOp
 
 
@@ -92,60 +93,75 @@ def test_scan_orders_by_key_and_filters(tmp_path):
         store.put("ds_" + "1" * 32, "component", canonical_bytes({"name": "HPC thing"}))
         keys = [r.key for r in store.scan("bom")]
         assert keys == ["bom_" + "1" * 32, "bom_" + "2" * 32]
-        hits = store.scan("bom", name_prefix="HPC")
-        assert [r.key for r in hits] == ["bom_" + "2" * 32]
         assert store.scan("bol") == []
 
 
-def _brute_force_referencing(store, kind, component_id):
-    hits = []
-    for record in store.scan(kind):
-        doc = json.loads(record.data.decode("utf-8"))
-        found = []
+class _HalfWrite:
+    """Log file stand-in whose first write lands half its bytes, then fails."""
 
-        def walk(node):
-            if isinstance(node, str) and is_entity_id(node):
-                found.append(node)
-            elif isinstance(node, dict):
-                for k, v in node.items():
-                    walk(k)
-                    walk(v)
-            elif isinstance(node, list):
-                for item in node:
-                    walk(item)
+    def __init__(self, fh):
+        self._fh = fh
+        self.failed = False
 
-        walk(doc)
-        if component_id in found:
-            hits.append(record.key)
-    return hits
+    def write(self, data):
+        if self.failed:
+            return self._fh.write(data)
+        self.failed = True
+        self._fh.write(bytes(data[: len(data) // 2]))
+        raise OSError(errno.ENOSPC, "No space left on device")
+
+    def __getattr__(self, name):
+        return getattr(self._fh, name)
 
 
-def test_referencing_index_matches_brute_force(tmp_path):
-    target = "ds_" + "a" * 32
-    other = "ds_" + "b" * 32
+def test_failed_append_is_cut_back_before_the_next_write(tmp_path):
     with Store(tmp_path) as store:
-        store.put(
-            "as_" + "1" * 32, "assembly", canonical_bytes({"inputData": [target]})
-        )
-        store.put(
-            "as_" + "2" * 32, "assembly", canonical_bytes({"inputData": [other]})
-        )
-        store.put(
-            "bol_" + "1" * 32, "bol", canonical_bytes({"shadow_items": {target: {}}})
-        )
-        for kind in ("assembly", "bol", "component"):
-            indexed = [r.key for r in store.scan(kind, referencing_component=target)]
-            assert indexed == _brute_force_referencing(store, kind, target)
-
-
-def test_referencing_index_follows_updates(tmp_path):
-    target = "ds_" + "a" * 32
-    key = "as_" + "1" * 32
+        store.put("ds_" + "a" * 32, "component", b'{"name":"kept"}')
+        store._fh = _HalfWrite(store._fh)
+        with pytest.raises(StorageFailure):
+            store.put("ds_" + "b" * 32, "component", b'{"name":"lost"}')
+        assert store._fh.failed
+        assert not store.exists("ds_" + "b" * 32)
+        store.put("ds_" + "c" * 32, "component", b'{"name":"after"}')
     with Store(tmp_path) as store:
-        store.put(key, "assembly", canonical_bytes({"inputData": [target]}))
-        assert [r.key for r in store.scan("assembly", referencing_component=target)] == [key]
-        store.put(key, "assembly", canonical_bytes({"inputData": []}))
-        assert store.scan("assembly", referencing_component=target) == []
+        assert store.record_count == 2
+        assert store.get("ds_" + "c" * 32).data == b'{"name":"after"}'
+        assert not store.exists("ds_" + "b" * 32)
+
+
+def test_failed_cut_back_refuses_writes_until_reopen(tmp_path, monkeypatch):
+    def no_truncate(fd, length):
+        raise OSError(errno.EIO, "Input/output error")
+
+    with Store(tmp_path) as store:
+        store.put("ds_" + "a" * 32, "component", b'{"name":"kept"}')
+        store._fh = _HalfWrite(store._fh)
+        monkeypatch.setattr(os, "ftruncate", no_truncate)
+        with pytest.raises(StorageFailure):
+            store.put("ds_" + "b" * 32, "component", b"{}")
+        monkeypatch.undo()
+        with pytest.raises(StorageFailure, match="reopened"):
+            store.put("ds_" + "c" * 32, "component", b"{}")
+    with Store(tmp_path) as store:  # the half line is a torn tail, dropped on open
+        assert store.record_count == 1
+        store.put("ds_" + "c" * 32, "component", b"{}")
+    with Store(tmp_path) as store:
+        assert store.record_count == 2
+
+
+def test_new_log_fsyncs_its_directory(tmp_path, monkeypatch):
+    synced = []
+    real_fsync = os.fsync
+
+    def spy(fd):
+        synced.append(stat.S_ISDIR(os.fstat(fd).st_mode))
+        real_fsync(fd)
+
+    monkeypatch.setattr(os, "fsync", spy)
+    Store(tmp_path / "data").close()
+    assert synced == [True]
+    Store(tmp_path / "data").close()  # reopening creates no directory entry
+    assert synced == [True]
 
 
 @settings(max_examples=25, deadline=None)
