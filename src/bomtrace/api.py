@@ -591,7 +591,7 @@ def dispatch(
         else:
             result = route.handler(gateway, params, query, parsed_body)
         if route.mutation:
-            request_id = gateway.ids.new_id(REQUEST)
+            request_id = gateway.request_ids.new_id(REQUEST)
             result = {"request_id": request_id, **result}
             logger.info(
                 "request %s: %s %s -> ledger entries [%d..%d)",
@@ -603,6 +603,12 @@ def dispatch(
     except (TypeError, KeyError, ValueError) as exc:
         doc = _error_body("MALFORMED_BODY", f"invalid request: {exc}", None)
         return 400, JSON_TYPE, canonical_bytes(doc)
+    except Exception:
+        # a fault in the program, not in the request: answer rather than
+        # drop the connection, and keep the traceback in the log
+        logger.exception("request failed: %s %s", method, path)
+        doc = _error_body("INTERNAL", f"internal error handling {method} {path}", None)
+        return 500, JSON_TYPE, canonical_bytes(doc)
 
     if isinstance(result, bytes):
         return route.success_status, NDJSON_TYPE, result

@@ -1,9 +1,11 @@
 """Domain errors with stable codes.
 
 Each failure mode in the library maps to exactly one code. The HTTP layer
-reuses these codes verbatim in error bodies (plus the two transport-level
-codes ``MALFORMED_BODY`` and ``UNKNOWN_ROUTE``), so the set below is the
-closed vocabulary clients can rely on.
+reuses these codes verbatim in error bodies (plus the transport-level codes
+``MALFORMED_BODY`` and ``UNKNOWN_ROUTE``, ``BODY_TOO_LARGE`` (413) for a
+request body over the server's cap, and ``INTERNAL`` (500) for a fault in the
+program itself), so the set below is the closed vocabulary clients can rely
+on.
 """
 
 from __future__ import annotations

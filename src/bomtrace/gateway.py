@@ -79,6 +79,14 @@ class Gateway:
             deterministic=deterministic_ids,
             start=idmod.next_counter(entity_ids) if deterministic_ids else 1,
         )
+        # Request ids are never stored. Only a mutation that committed gets
+        # one, and each commits at least one transaction, so no session
+        # issues more of them than it commits: counting from the committed
+        # transactions never repeats an id issued before a reopen.
+        self.request_ids = idmod.IdGenerator(
+            deterministic=deterministic_ids,
+            start=self.store.transaction_count + 1,
+        )
         self._clock = clock or wall_clock_ms
         self._lock = threading.RLock()
 

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import re
 import secrets
+import threading
 from typing import Iterable
 
 DATA_SOURCE = "ds"
@@ -57,18 +58,22 @@ class IdGenerator:
     """Issues prefixed ids, randomly or from a deterministic counter.
 
     ``start`` seeds the counter in deterministic mode; callers reopening a
-    store pass :func:`next_counter` of the persisted ids, so reissued
-    counters never collide with them.
+    store pass a value above every counter already persisted (for entity ids,
+    :func:`next_counter` of the stored keys), so reissued counters never
+    collide with them. Safe to call from several threads.
     """
 
     def __init__(self, deterministic: bool = False, start: int = 1):
         self.deterministic = deterministic
         self._counter = start
+        self._lock = threading.Lock()
 
     def new_id(self, prefix: str) -> str:
         if self.deterministic:
-            hex_part = f"{self._counter:032x}"
-            self._counter += 1
+            with self._lock:
+                counter = self._counter
+                self._counter += 1
+            hex_part = f"{counter:032x}"
         else:
             hex_part = secrets.token_hex(16)
         return f"{prefix}_{hex_part}"

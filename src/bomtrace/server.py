@@ -18,10 +18,16 @@ from .gateway import Gateway
 
 logger = logging.getLogger(__name__)
 
+# Largest request body read; a longer Content-Length is refused unread.
+MAX_BODY_BYTES = 8 * 1024 * 1024
+
 
 class _Handler(BaseHTTPRequestHandler):
     protocol_version = "HTTP/1.1"
     server_version = "bomtrace"
+    # TCP_NODELAY: without it, a response written after the client's last
+    # segment waits for the client's delayed ACK (about 40 ms on Linux)
+    disable_nagle_algorithm = True
 
     def _handle(self, method: str) -> None:
         parts = urlsplit(self.path)
@@ -30,11 +36,17 @@ class _Handler(BaseHTTPRequestHandler):
             length = int(header)
         except ValueError:
             length = -1
-        if length < 0:
-            # the body cannot be framed, so neither can the next request
+        if length < 0 or length > MAX_BODY_BYTES:
+            # the body is not read, so the next request cannot be framed
             self.close_connection = True
-            doc = {"code": "MALFORMED_BODY", "message": f"bad Content-Length {header!r}"}
-            self._reply(400, JSON_TYPE, canonical_bytes(doc))
+            if length < 0:
+                status, code = 400, "MALFORMED_BODY"
+                message = f"bad Content-Length {header!r}"
+            else:
+                status, code = 413, "BODY_TOO_LARGE"
+                message = f"request body of {length} bytes exceeds {MAX_BODY_BYTES}"
+            doc = {"code": code, "message": message}
+            self._reply(status, JSON_TYPE, canonical_bytes(doc))
             return
         body = self.rfile.read(length) if length else None
         self._reply(*dispatch(
@@ -52,8 +64,11 @@ class _Handler(BaseHTTPRequestHandler):
         self.send_header("Content-Length", str(len(payload)))
         if self.close_connection:
             self.send_header("Connection", "close")
-        self.end_headers()
-        self.wfile.write(payload)
+        # end_headers() would send the header block on its own; put the blank
+        # line and the body in the same buffer so one sendall carries them all
+        self._headers_buffer.append(b"\r\n")
+        self._headers_buffer.append(payload)
+        self.flush_headers()
 
     def do_GET(self) -> None:
         self._handle("GET")

@@ -69,6 +69,7 @@ class Store:
         self._path = self._dir / LOG_NAME
         self._lock = threading.RLock()
         self._records: dict[str, StoredRecord] = {}
+        self._transactions = 0  # committed log lines
         self._broken: str | None = None  # why writes are refused, if they are
         try:
             self._dir.mkdir(parents=True, exist_ok=True)
@@ -110,6 +111,7 @@ class Store:
         return end
 
     def _apply(self, txn: dict) -> None:
+        self._transactions += 1
         for write in txn["writes"]:
             self._records[write["key"]] = StoredRecord(
                 key=write["key"],
@@ -166,6 +168,7 @@ class Store:
                 self._cut_back(exc)
                 raise StorageFailure(f"append failed: {exc}") from exc
             self._size += len(line)
+            self._transactions += 1
             for op, revision in zip(writes, revisions):
                 self._records[op.key] = StoredRecord(op.key, op.kind, op.data, revision)
             return revisions
@@ -204,6 +207,12 @@ class Store:
     def record_count(self) -> int:
         with self._lock:
             return len(self._records)
+
+    @property
+    def transaction_count(self) -> int:
+        """Transactions committed to the log, across every session."""
+        with self._lock:
+            return self._transactions
 
     def close(self) -> None:
         try:

@@ -125,8 +125,8 @@ def test_mutations_carry_request_ids(gw):
 
 
 def test_deterministic_ids_after_reopen_skip_persisted_ids(tmp_path):
-    # request ids draw on the same counter as entity ids, so the record count
-    # alone would reissue the id of a persisted component after a reopen
+    # the entity counter resumes above every persisted entity id, so the
+    # record count alone would reissue the id of a persisted component
     created = []
     for _ in range(2):
         gateway = Gateway(tmp_path / "data", deterministic_ids=True)
@@ -140,6 +140,67 @@ def test_deterministic_ids_after_reopen_skip_persisted_ids(tmp_path):
         finally:
             gateway.close()
     assert len(set(created)) == 4
+
+
+def test_request_ids_stay_new_after_reopen(tmp_path):
+    # request ids are never stored; they count on from the committed
+    # transactions, so a reopen cannot reissue one from an earlier session
+    seen = []
+    gateway = Gateway(tmp_path / "data", deterministic_ids=True)
+    try:
+        status, doc, _ = call(gateway, "POST", "/boms", copy.deepcopy(HPC_MANIFEST))
+        assert status == 201, doc
+        seen.append(doc["request_id"])
+        component = component_by_name(doc["bom"], "Result")
+        status, doc, _ = call(gateway, "POST", f"/boms/{doc['bom']['id']}/bols", {})
+        assert status == 201, doc
+        seen.append(doc["request_id"])
+        bol_id = doc["bol"]["id"]
+        for n in range(3):
+            status, doc, _ = call(gateway, "POST", f"/bols/{bol_id}/observations",
+                                  {"component_id": component, "payload": f"p{n}"})
+            assert status == 201, doc
+            seen.append(doc["request_id"])
+    finally:
+        gateway.close()
+    gateway = Gateway(tmp_path / "data", deterministic_ids=True)
+    try:
+        status, doc, _ = call(gateway, "POST", f"/bols/{bol_id}/observations",
+                              {"component_id": component, "payload": "after reopen"})
+        assert status == 201, doc
+    finally:
+        gateway.close()
+    assert len(set(seen)) == 5
+    assert doc["request_id"] not in seen
+
+
+def test_every_mutation_route_commits_a_transaction(gw):
+    # request ids count on from the committed transactions (see Gateway), which
+    # holds only while every successful mutation commits at least one
+    def mutate(method, path, body):
+        before = gw.store.transaction_count
+        status, doc, _ = call(gw, method, path, body)
+        assert status in (200, 201), doc
+        assert gw.store.transaction_count > before, path
+        return doc
+
+    covered = set()
+    component = mutate("POST", "/components", {"kind": "data_source", "name": "d"})
+    covered.add("create_component")
+    cid = component["component"]["id"]
+    assembly = mutate("POST", "/assemblies", {"name": "a", "inputData": [cid]})
+    covered.add("create_assembly")
+    bom = mutate("POST", "/boms", {"name": "b", "assemblies": []})["bom"]
+    covered.add("define_bom")
+    mutate("PUT", f"/boms/{bom['id']}", {"assemblies": [assembly["assembly"]["id"]]})
+    covered.add("update_bom")
+    bol = mutate("POST", f"/boms/{bom['id']}/bols", {})["bol"]
+    covered.add("instantiate_bol")
+    mutate("POST", f"/bols/{bol['id']}/observations", {"component_id": cid, "payload": "p"})
+    covered.add("record_observation")
+    mutate("POST", f"/bols/{bol['id']}/seal", None)
+    covered.add("seal_bol")
+    assert covered == {route.name for route in ROUTES if route.mutation}
 
 
 def test_observation_response_carries_index(gw):

@@ -1,4 +1,6 @@
 import re
+import sys
+import threading
 
 from bomtrace import ids
 
@@ -30,6 +32,30 @@ def test_deterministic_sequence_repeats():
 def test_deterministic_start_offset():
     gen = ids.IdGenerator(deterministic=True, start=7)
     assert gen.new_id(ids.BOL).endswith(f"{7:032x}")
+
+
+def test_deterministic_counter_is_thread_safe():
+    gen = ids.IdGenerator(deterministic=True)
+    issued: list[list[str]] = [[] for _ in range(8)]
+
+    def issue(out):
+        for _ in range(500):
+            out.append(gen.new_id(ids.REQUEST))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=issue, args=(out,)) for out in issued]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=30)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    values = [value for out in issued for value in out]
+    assert len(values) == 4000
+    assert len(set(values)) == 4000  # a lost update would issue one twice
 
 
 def test_component_id_check():

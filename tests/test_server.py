@@ -1,19 +1,23 @@
 import http.client
 import json
 import socket
+import statistics
 import threading
+import time
 
 import pytest
 
+from bomtrace import server as server_module
 from bomtrace.gateway import Gateway
-from bomtrace.server import ApiServer
+from bomtrace.server import MAX_BODY_BYTES, ApiServer
 
 
 @pytest.fixture
 def server(tmp_path):
     gateway = Gateway(tmp_path / "data", deterministic_ids=True)
     api = ApiServer(gateway, host="127.0.0.1", port=0)
-    thread = threading.Thread(target=api.serve_forever, daemon=True)
+    thread = threading.Thread(target=api.serve_forever, kwargs={"poll_interval": 0.05},
+                              daemon=True)
     thread.start()
     yield api
     api.shutdown()
@@ -47,3 +51,85 @@ def test_bad_content_length_is_malformed_body(server, length):
     assert connection == "close"
     assert after == b""  # the server hung up instead of waiting for a body
 
+
+
+def test_oversized_body_is_refused_unread(server):
+    status, body, connection, after = _post_with_length(server, str(MAX_BODY_BYTES + 1))
+    assert status == 413
+    assert body["code"] == "BODY_TOO_LARGE"
+    assert connection == "close"
+    assert after == b""  # the server hung up instead of reading the body
+
+
+def test_body_at_the_cap_is_read(server, monkeypatch):
+    body = json.dumps({"kind": "artifact", "name": "m"}).encode()
+    monkeypatch.setattr(server_module, "MAX_BODY_BYTES", len(body))
+    conn = http.client.HTTPConnection(*server.server_address, timeout=5)
+    try:
+        conn.request("POST", "/components", body=body)
+        response = conn.getresponse()
+        assert response.status == 201, response.read()
+        response.read()
+        conn.request("POST", "/components", body=body + b" ")
+        response = conn.getresponse()
+        assert response.status == 413
+        assert json.loads(response.read())["code"] == "BODY_TOO_LARGE"
+    finally:
+        conn.close()
+
+
+def _round_trip(conn, method, path, body=None):
+    conn.request(method, path, body=None if body is None else json.dumps(body))
+    response = conn.getresponse()
+    return response.status, json.loads(response.read())
+
+
+def test_keep_alive_round_trips_are_prompt(server):
+    # With Nagle's algorithm on, a response sent in two writes waits for the
+    # client's delayed ACK: about 40 ms per request on Linux loopback.
+    conn = http.client.HTTPConnection(*server.server_address, timeout=5)
+    try:
+        times = []
+        for n in range(20):
+            started = time.perf_counter()
+            status, doc = _round_trip(conn, "POST", "/components",
+                                      {"kind": "artifact", "name": f"m{n}"})
+            times.append(time.perf_counter() - started)
+            assert status == 201, doc
+    finally:
+        conn.close()
+    assert statistics.median(times) < 0.020, times
+
+
+def test_keep_alive_request_rejected_before_dispatch_is_answered(server):
+    conn = http.client.HTTPConnection(*server.server_address, timeout=2)
+    try:
+        started = time.perf_counter()
+        conn.request("HEAD", "/healthz")
+        response = conn.getresponse()  # a hang would raise socket.timeout
+        response.read()
+        assert response.status == 501
+        assert time.perf_counter() - started < 1
+    finally:
+        conn.close()
+
+
+def test_unexpected_exception_is_answered_and_connection_kept(server, monkeypatch, caplog):
+    def broken(*args, **kwargs):
+        raise RuntimeError("secret internals")
+
+    monkeypatch.setattr(server.gateway, "create_component", broken)
+    conn = http.client.HTTPConnection(*server.server_address, timeout=5)
+    try:
+        status, doc = _round_trip(conn, "POST", "/components",
+                                  {"kind": "artifact", "name": "m"})
+        assert status == 500
+        assert doc["code"] == "INTERNAL"
+        assert "secret internals" not in doc["message"]
+        assert "secret internals" in caplog.text  # the traceback goes to the log
+        sock = conn.sock
+        status, doc = _round_trip(conn, "GET", "/healthz")
+        assert status == 200 and doc == {"status": "ok"}
+        assert conn.sock is sock  # answered on the same keep-alive connection
+    finally:
+        conn.close()

@@ -61,6 +61,23 @@ def test_put_many_is_one_transaction(tmp_path):
     assert len(lines) == 1
 
 
+def test_transaction_count_survives_reopen(tmp_path):
+    with Store(tmp_path) as store:
+        assert store.transaction_count == 0
+        store.put("ds_" + "a" * 32, "component", b"{}")
+        store.put_many(
+            [
+                WriteOp("ds_" + "b" * 32, "component", b"{}", 0),
+                WriteOp("ds_" + "c" * 32, "component", b"{}", 0),
+            ]
+        )
+        with pytest.raises(RevisionConflict):
+            store.put("ds_" + "a" * 32, "component", b"{}", 0)
+        assert store.transaction_count == 2
+    with Store(tmp_path) as store:
+        assert store.transaction_count == 2
+
+
 def test_put_many_conflict_rolls_back_everything(tmp_path):
     with Store(tmp_path) as store:
         store.put("ds_" + "e" * 32, "component", b"{}")
