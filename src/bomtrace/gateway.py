@@ -22,7 +22,7 @@ from typing import Any, Callable, Iterable
 from . import ids as idmod
 from . import ledger as ledgermod
 from . import lineage, model, runtime
-from .canonical import canonical_bytes
+from .canonical import canonical_bytes, from_canonical
 from .errors import (
     AlreadySealed,
     BolNotSealed,
@@ -44,6 +44,7 @@ from .store import (
     KIND_BOL,
     KIND_BOM,
     KIND_COMPONENT,
+    KIND_LEDGER_ENTRY,
     Store,
     WriteOp,
 )
@@ -55,6 +56,32 @@ def wall_clock_ms() -> int:
     return int(time.time() * 1000)
 
 
+class _Run:
+    """One BoL in memory: its header and its observations per shadow item.
+
+    ``header`` carries the id, BoM, label, status and anchor, with no shadow
+    items; the observations are appended in place, in ledger order.
+    """
+
+    __slots__ = ("header", "observations")
+
+    def __init__(self, record: bytes):
+        doc = from_canonical(record)
+        self.header = Bol.from_dict({**doc, "shadow_items": {}})
+        self.observations: dict[str, list[Observation]] = {
+            cid: [] for cid in doc["shadow_items"]
+        }
+
+    def snapshot(self) -> Bol:
+        return replace(
+            self.header,
+            shadow_items={
+                cid: ShadowItem(component_id=cid, observations=tuple(observations))
+                for cid, observations in self.observations.items()
+            },
+        )
+
+
 class Gateway:
     def __init__(
         self,
@@ -64,12 +91,19 @@ class Gateway:
     ):
         self.store = Store(data_dir)
         self.ledger = Ledger(self.store)
+        # Observations are stored once, as ledger entries. A BoL's record
+        # gives its header (and, once sealed, a snapshot); the observations
+        # are replayed from the ledger, so inline copies in the records of
+        # open BoLs, which an older layout wrote, are never read.
+        self._runs: dict[str, _Run] = {}
         # BoLs per BoM: a BoL's shadow items are the components of its
         # (frozen) BoM, so this answers which runs used a component
         self._bols_by_bom: dict[str, list[str]] = {}
         for record in self.store.scan(KIND_BOL):
-            bom_id = json.loads(record.data.decode("utf-8"))["bom_id"]
-            self._bols_by_bom.setdefault(bom_id, []).append(record.key)
+            run = self._runs[record.key] = _Run(record.data)
+            self._bols_by_bom.setdefault(run.header.bom_id, []).append(record.key)
+        for record in self.store.scan(KIND_LEDGER_ENTRY):
+            self._replay(record.data)
         entity_ids = (
             record.key
             for kind in (KIND_COMPONENT, KIND_ASSEMBLY, KIND_BOM, KIND_BOL)
@@ -92,6 +126,30 @@ class Gateway:
 
     def close(self) -> None:
         self.store.close()
+
+    def _replay(self, entry_record: bytes) -> None:
+        """Append the observation a stored ledger entry records, if it does.
+
+        A tampered ledger must still open so that ``verify_chain`` can report
+        it: an entry that does not name a shadow item of a known BoL, or whose
+        observation is malformed, is skipped. Observations take their index
+        from their position in ledger order.
+        """
+        try:
+            entry = from_canonical(entry_record)
+            if entry["entry_type"] != ledgermod.OBSERVATION_RECORDED:
+                return
+            doc = entry["payload"]
+            observations = self._runs[doc["bol_id"]].observations[doc["component_id"]]
+            observation = Observation.from_dict(doc)
+        except (ValueError, KeyError, TypeError):
+            return
+        if (
+            type(observation.recorded_at) is int
+            and isinstance(observation.payload, str)
+            and isinstance(observation.note, (str, type(None)))
+        ):
+            observations.append(observation)
 
     def _now(self, now: int | None) -> int:
         return self._clock() if now is None else now
@@ -116,7 +174,9 @@ class Gateway:
         return self._load(bom_id, KIND_BOM, Bom.from_dict)
 
     def get_bol(self, bol_id: str) -> Bol | None:
-        return self._load(bol_id, KIND_BOL, Bol.from_dict)
+        with self._lock:
+            run = self._runs.get(bol_id)
+            return run.snapshot() if run is not None else None
 
     def _require_component(self, component_id: str) -> ComponentRecord:
         component = self.get_component(component_id)
@@ -130,11 +190,15 @@ class Gateway:
             raise UnknownBom(f"unknown BoM {bom_id}", detail={"id": bom_id})
         return bom
 
-    def _require_bol(self, bol_id: str) -> Bol:
-        bol = self.get_bol(bol_id)
-        if bol is None:
+    def _require_run(self, bol_id: str) -> _Run:
+        run = self._runs.get(bol_id)
+        if run is None:
             raise UnknownBol(f"unknown BoL {bol_id}", detail={"id": bol_id})
-        return bol
+        return run
+
+    def _require_bol(self, bol_id: str) -> Bol:
+        with self._lock:
+            return self._require_run(bol_id).snapshot()
 
     def _all_boms(self) -> list[Bom]:
         return [
@@ -149,10 +213,8 @@ class Gateway:
         }
 
     def _all_bols(self) -> list[Bol]:
-        return [
-            Bol.from_dict(json.loads(r.data.decode("utf-8")))
-            for r in self.store.scan(KIND_BOL)
-        ]
+        with self._lock:
+            return [self._runs[bol_id].snapshot() for bol_id in sorted(self._runs)]
 
     # -- core model mutations ---------------------------------------------
 
@@ -357,11 +419,8 @@ class Gateway:
                         expected_revision=self.store.get(bom_id).revision,
                     )
                 )
-            writes.append(
-                WriteOp(
-                    bol.id, KIND_BOL, canonical_bytes(bol.to_dict()), expected_revision=0
-                )
-            )
+            header = canonical_bytes(bol.to_dict())
+            writes.append(WriteOp(bol.id, KIND_BOL, header, expected_revision=0))
             payload: dict[str, Any] = {
                 "bol_id": bol.id,
                 "bom_id": bom_id,
@@ -372,13 +431,13 @@ class Gateway:
             self.ledger.append_entry(
                 ledgermod.BOL_CREATED, canonical_bytes(payload), extra_writes=writes
             )
+            run = self._runs[bol.id] = _Run(header)
             self._bols_by_bom.setdefault(bom_id, []).append(bol.id)
-            return self.get_bol(bol.id)
+            return run.snapshot()
 
     def resolve_access(self, bol_id: str, component_id: str) -> dict[str, str]:
         with self._lock:
-            bol = self._require_bol(bol_id)
-            if component_id not in bol.shadow_items:
+            if component_id not in self._require_run(bol_id).observations:
                 raise ComponentNotInBom(
                     f"component {component_id} is not part of BoL {bol_id}'s BoM",
                     detail={"bol_id": bol_id, "component_id": component_id},
@@ -407,53 +466,39 @@ class Gateway:
         if not isinstance(payload, str):
             raise TypeError("observation payload must be a string")
         with self._lock:
-            bol = self._require_bol(bol_id)
-            if bol.status is BolStatus.SEALED:
+            run = self._require_run(bol_id)
+            if run.header.status is BolStatus.SEALED:
                 raise BolSealed(
                     f"BoL {bol_id} is sealed; no further observations",
                     detail={"id": bol_id},
                 )
-            item = bol.shadow_items.get(component_id)
-            if item is None:
+            observations = run.observations.get(component_id)
+            if observations is None:
                 raise ComponentNotInBom(
                     f"component {component_id} is not part of BoL {bol_id}'s BoM",
                     detail={"bol_id": bol_id, "component_id": component_id},
                 )
             recorded_at = self._now(now)
-            if item.observations:
+            if observations:
                 # timestamps within a shadow item never run backwards
-                recorded_at = max(recorded_at, item.observations[-1].recorded_at)
-            observation = Observation(recorded_at=recorded_at, payload=payload, note=note)
-            index = len(item.observations)
-            updated = dict(bol.shadow_items)
-            updated[component_id] = ShadowItem(
-                component_id=component_id,
-                observations=item.observations + (observation,),
-            )
-            new_bol = replace(bol, shadow_items=updated)
+                recorded_at = max(recorded_at, observations[-1].recorded_at)
+            index = len(observations)
             record_bytes = runtime.observation_record_bytes(
-                bol_id, component_id, index, observation
+                bol_id, component_id, index, Observation(recorded_at, payload, note)
             )
-            self.ledger.append_entry(
-                ledgermod.OBSERVATION_RECORDED,
-                record_bytes,
-                extra_writes=[
-                    WriteOp(
-                        bol_id,
-                        KIND_BOL,
-                        canonical_bytes(new_bol.to_dict()),
-                        expected_revision=self.store.get(bol_id).revision,
-                    )
-                ],
-            )
-            stored = self.get_bol(bol_id).shadow_items[component_id].observations[index]
+            # the ledger entry is the observation's only stored copy
+            self.ledger.append_entry(ledgermod.OBSERVATION_RECORDED, record_bytes)
+            # hold the stored (canonical) form, as a reopen would replay it
+            stored = Observation.from_dict(from_canonical(record_bytes))
+            observations.append(stored)
             return stored, index
 
     def seal_bol(self, bol_id: str, now: int | None = None) -> Anchor:
         with self._lock:
-            bol = self._require_bol(bol_id)
-            if bol.status is BolStatus.SEALED:
+            run = self._require_run(bol_id)
+            if run.header.status is BolStatus.SEALED:
                 raise AlreadySealed(f"BoL {bol_id} is already sealed", detail={"id": bol_id})
+            bol = run.snapshot()
             leaves = runtime.bol_leaves(bol)
             anchor = ledgermod.compute_anchor(
                 bol_id, leaves, ledger_index=self.ledger.count
@@ -477,6 +522,7 @@ class Gateway:
                     )
                 ],
             )
+            run.header = replace(run.header, status=BolStatus.SEALED, anchor=anchor)
             return anchor
 
     # -- lineage queries ------------------------------------------------------
