@@ -8,7 +8,10 @@ fires the BoL error codes. Each response is kept as ``[label, status,
 SHA-256 of the body]`` in ``golden/transcript.json``.
 
 The second part runs after a reopen: it repeats the reads, then records into
-the BoL left open, seals it and proves every leaf. It runs twice, against the
+the BoL left open, seals it and proves every leaf. It ends by building a
+second BoM from an assembly made over existing components, updating it,
+running scoped traces, and firing every model, graph and transport error
+code the first part does not. It runs twice, against the
 session's own directory and against ``golden/store.ndjson``. That file is the
 data directory the session left behind in the store layout where an open
 BoL's record carried every observation inline; it must answer with the same
@@ -81,10 +84,10 @@ class Session:
         self.steps: list[list] = []
 
     def call(self, method: str, path: str, body: dict | None = None,
-             expect: int | None = None):
+             expect: int | None = None, query: str = ""):
         raw = json.dumps(body).encode("utf-8") if body is not None else None
-        status, ctype, data = dispatch(self.gateway, method, path, "", raw)
-        label = f"{method} {path}"
+        status, ctype, data = dispatch(self.gateway, method, path, query, raw)
+        label = f"{method} {path}" + (f"?{query}" if query else "")
         for entity_id, name in self.names.items():
             label = label.replace(entity_id, "{" + name + "}")
         self.steps.append([label, status, hashlib.sha256(data).hexdigest()])
@@ -217,7 +220,68 @@ def after_reopen(gateway: Gateway, clock: Clock, ids: dict[str, str]) -> Session
     s.call("GET", f"/components/{labelled}/uses", expect=200)
     s.call("GET", "/ledger/verify", expect=200)
     s.call("GET", "/ledger/export", expect=200)
+    model_and_errors(s, ids)
     return s
+
+
+def model_and_errors(s: Session, ids: dict[str, str]) -> None:
+    """A second BoM built from parts, then every remaining model error code."""
+    camera, labelled, model = ids["Camera Feed"], ids["Labelled Set"], ids["Model"]
+    report = s.call("POST", "/components", {"kind": "artifact", "name": "Audit Report"},
+                    expect=201)["component"]["id"]
+    audit = s.call("POST", "/assemblies",
+                   {"name": "Audit", "description": "Check the model against its labels",
+                    "inputData": [labelled], "inputArtifacts": [model],
+                    "outputArtifacts": [report]}, expect=201)["assembly"]["id"]
+    second = s.call("POST", "/boms", {"name": "Audit BoM", "assemblies": [audit]},
+                    expect=201)["bom"]["id"]
+    s.names.update({report: "Audit Report", audit: "Audit", second: "bom2"})
+    s.call("PUT", f"/boms/{second}", {"name": "Audit BoM v2", "description": "renamed",
+                                      "assemblies": [audit], "expected_revision": 1},
+           expect=200)
+    s.call("GET", f"/boms/{second}", expect=200)
+    s.call("POST", f"/boms/{second}/validate", expect=200)
+    s.call("GET", f"/components/{report}/trace", expect=200)
+    s.call("GET", f"/components/{report}/trace", expect=200, query=f"scope={second}")
+    s.call("GET", f"/components/{model}/trace", expect=200, query=f"scope={ids['bom']}")
+    s.call("GET", f"/components/{camera}/track", expect=200, query=f"scope={ids['bom']}")
+    s.call("GET", f"/components/{labelled}/uses", expect=200)
+
+    s.call("POST", "/components", {"kind": "data_source", "name": ""}, expect=400)
+    s.call("POST", "/components", {"kind": "data_source", "name": "twice",
+                                   "metadata": [["k", "v"], ["k", "w"]]}, expect=400)
+    s.call("POST", "/assemblies", {"name": "wrong kind", "inputData": [model]}, expect=400)
+    s.call("POST", "/assemblies", {"name": "overlap", "inputData": [camera],
+                                   "outputData": [camera]}, expect=400)
+    s.call("POST", "/assemblies", {"name": "repeat", "inputData": [camera, camera]},
+           expect=400)
+    s.call("POST", "/assemblies", {"name": "dangling", "inputData": ["ds_" + "e" * 32]},
+           expect=404)
+    s.call("PUT", f"/boms/{second}", {"assemblies": ["as_" + "e" * 32]}, expect=404)
+    s.call("PUT", f"/boms/{second}", {"assemblies": [audit, ids["Training"]]},
+           expect=400)
+    s.call("POST", "/boms", {"name": "thief", "assemblies": [ids["Labelling"]]},
+           expect=400)
+    s.call("PUT", f"/boms/{second}", {"name": "stale", "expected_revision": 1},
+           expect=409)
+    s.call("GET", "/boms/bom_" + "f" * 32, expect=404)
+    s.call("GET", f"/components/{camera}/trace", expect=404, query="scope=bom_" + "f" * 32)
+    s.call("GET", f"/components/{ids['Unrelated Source']}/trace", expect=404,
+           query=f"scope={ids['bom']}")
+    s.call("GET", f"/components/{report}/track", expect=404, query=f"scope={ids['bom']}")
+    s.call("GET", "/nowhere", expect=404)
+    s.call("DELETE", f"/boms/{second}", expect=404)
+    s.call("POST", "/ledger/verify-inclusion",
+           {"leaf_b64": "", "merkle_root": "0" * 64,
+            "proof": {"leaf_index": 0, "siblings": [["00" * 32, "up"]]}}, expect=400)
+    s.call("POST", "/ledger/verify-inclusion",
+           {"leaf_b64": "", "merkle_root": "0" * 64,
+            "proof": {"leaf_index": 0, "siblings": [["zz", "left"]]}}, expect=400)
+
+    s.call("POST", f"/boms/{second}/bols", {"run_label": "audit"}, expect=201)
+    s.call("PUT", f"/boms/{second}", {"name": "too late"}, expect=409)
+    s.call("GET", f"/boms/{second}", expect=200)
+    s.call("GET", "/ledger/verify", expect=200)
 
 
 def run_transcript(data: Path) -> tuple[dict, bytes]:
