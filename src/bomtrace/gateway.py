@@ -12,7 +12,7 @@ used, which defaults to wall time.
 
 from __future__ import annotations
 
-import json
+import itertools
 import threading
 import time
 from dataclasses import replace
@@ -46,6 +46,7 @@ from .store import (
     KIND_COMPONENT,
     KIND_LEDGER_ENTRY,
     Store,
+    StoredRecord,
     WriteOp,
 )
 
@@ -91,6 +92,14 @@ class Gateway:
     ):
         self.store = Store(data_dir)
         self.ledger = Ledger(self.store)
+        # The static model, each record decoded once: here, from the store,
+        # and after each commit, from the bytes that commit stored
+        self._components: dict[str, ComponentRecord] = {}
+        self._assemblies: dict[str, Assembly] = {}
+        self._boms: dict[str, Bom] = {}
+        for kind in (KIND_COMPONENT, KIND_ASSEMBLY, KIND_BOM):
+            for record in self.store.scan(kind):
+                self._hold(record)
         # Observations are stored once, as ledger entries. A BoL's record
         # gives its header (and, once sealed, a snapshot); the observations
         # are replayed from the ledger, so inline copies in the records of
@@ -104,11 +113,7 @@ class Gateway:
             self._bols_by_bom.setdefault(run.header.bom_id, []).append(record.key)
         for record in self.store.scan(KIND_LEDGER_ENTRY):
             self._replay(record.data)
-        entity_ids = (
-            record.key
-            for kind in (KIND_COMPONENT, KIND_ASSEMBLY, KIND_BOM, KIND_BOL)
-            for record in self.store.scan(kind)
-        )
+        entity_ids = itertools.chain(self._components, self._assemblies, self._boms, self._runs)
         self.ids = idmod.IdGenerator(
             deterministic=deterministic_ids,
             start=idmod.next_counter(entity_ids) if deterministic_ids else 1,
@@ -156,22 +161,29 @@ class Gateway:
 
     # -- record access ---------------------------------------------------
 
-    def _load(self, key: str, kind: str, parser) -> Any | None:
-        if not self.store.exists(key):
-            return None
-        record = self.store.get(key)
-        if record.kind != kind:
-            return None
-        return parser(json.loads(record.data.decode("utf-8")))
+    def _hold(self, record: StoredRecord | WriteOp) -> None:
+        """Keep the typed form of a model record, decoded from its stored bytes."""
+        records, cls = {
+            KIND_COMPONENT: (self._components, ComponentRecord),
+            KIND_ASSEMBLY: (self._assemblies, Assembly),
+            KIND_BOM: (self._boms, Bom),
+        }[record.kind]
+        records[record.key] = cls.from_dict(from_canonical(record.data))
+
+    def _commit(self, writes: list[WriteOp]) -> None:
+        """Commit model records in one transaction, then hold what was stored."""
+        self.store.put_many(writes)
+        for op in writes:
+            self._hold(op)
 
     def get_component(self, component_id: str) -> ComponentRecord | None:
-        return self._load(component_id, KIND_COMPONENT, ComponentRecord.from_dict)
+        return self._components.get(component_id)
 
     def get_assembly(self, assembly_id: str) -> Assembly | None:
-        return self._load(assembly_id, KIND_ASSEMBLY, Assembly.from_dict)
+        return self._assemblies.get(assembly_id)
 
     def get_bom(self, bom_id: str) -> Bom | None:
-        return self._load(bom_id, KIND_BOM, Bom.from_dict)
+        return self._boms.get(bom_id)
 
     def get_bol(self, bol_id: str) -> Bol | None:
         with self._lock:
@@ -201,16 +213,8 @@ class Gateway:
             return self._require_run(bol_id).snapshot()
 
     def _all_boms(self) -> list[Bom]:
-        return [
-            Bom.from_dict(json.loads(r.data.decode("utf-8")))
-            for r in self.store.scan(KIND_BOM)
-        ]
-
-    def _all_assemblies(self) -> dict[str, Assembly]:
-        return {
-            r.key: Assembly.from_dict(json.loads(r.data.decode("utf-8")))
-            for r in self.store.scan(KIND_ASSEMBLY)
-        }
+        with self._lock:
+            return [self._boms[bom_id] for bom_id in sorted(self._boms)]
 
     def _all_bols(self) -> list[Bol]:
         with self._lock:
@@ -236,14 +240,11 @@ class Gateway:
                 description=description,
                 access_metadata=metadata,
             )
-            self.store.put(
-                component.id,
-                KIND_COMPONENT,
-                canonical_bytes(component.to_dict()),
-                expected_revision=0,
+            self._commit(
+                [WriteOp(component.id, KIND_COMPONENT, canonical_bytes(component.to_dict()), 0)]
             )
-            # read back so the caller holds exactly the stored (canonical) form
-            return self.get_component(component.id)
+            # the caller holds exactly the stored (canonical) form
+            return self._components[component.id]
 
     def create_assembly(
         self,
@@ -269,13 +270,10 @@ class Gateway:
                 output_data=tuple(output_data),
                 output_artifacts=tuple(output_artifacts),
             )
-            self.store.put(
-                assembly.id,
-                KIND_ASSEMBLY,
-                canonical_bytes(assembly.to_dict()),
-                expected_revision=0,
+            self._commit(
+                [WriteOp(assembly.id, KIND_ASSEMBLY, canonical_bytes(assembly.to_dict()), 0)]
             )
-            return self.get_assembly(assembly.id)
+            return self._assemblies[assembly.id]
 
     def create_bom(
         self,
@@ -284,29 +282,11 @@ class Gateway:
         assembly_ids: Iterable[str] = (),
         now: int | None = None,
     ) -> Bom:
-        model.require_name(name)
-        assembly_ids = tuple(assembly_ids)
-        with self._lock:
-            for aid in assembly_ids:
-                if self.get_assembly(aid) is None:
-                    raise DanglingRef(f"unknown assembly {aid}", detail={"id": aid})
-            report = self._validate(assembly_ids, candidate_bom_id=None)
-            if not report.ok:
-                raise ValidationFailed(
-                    "BoM structure is invalid", detail={"report": report.to_dict()}
-                )
-            bom = Bom(
-                id=self.ids.new_id(idmod.BOM),
-                name=name,
-                description=description,
-                assemblies=assembly_ids,
-                frozen=False,
-                created_at=self._now(now),
-            )
-            self.store.put(
-                bom.id, KIND_BOM, canonical_bytes(bom.to_dict()), expected_revision=0
-            )
-            return self.get_bom(bom.id)
+        """Create a BoM over stored assemblies: a manifest that declares nothing."""
+        doc: dict[str, Any] = {"name": name, "assemblies": list(assembly_ids)}
+        if description is not None:
+            doc["description"] = description
+        return self.define_bom(doc, now)
 
     def define_bom(self, manifest_doc: dict[str, Any], now: int | None = None) -> Bom:
         """Create a BoM, plus any inline components and assemblies, atomically."""
@@ -314,7 +294,7 @@ class Gateway:
 
         with self._lock:
             bom = compile_manifest(self, manifest_doc, self._now(now))
-            return self.get_bom(bom.id)
+            return self._boms[bom.id]
 
     def update_bom(
         self,
@@ -348,16 +328,12 @@ class Gateway:
                         "BoM structure is invalid", detail={"report": report.to_dict()}
                     )
                 bom = replace(bom, assemblies=new_ids)
-            current = self.store.get(bom_id).revision
-            self.store.put(
-                bom_id,
-                KIND_BOM,
-                canonical_bytes(bom.to_dict()),
-                expected_revision=expected_revision
-                if expected_revision is not None
-                else current,
+            if expected_revision is None:
+                expected_revision = self.store.get(bom_id).revision
+            self._commit(
+                [WriteOp(bom_id, KIND_BOM, canonical_bytes(bom.to_dict()), expected_revision)]
             )
-            return self.get_bom(bom_id)
+            return self._boms[bom_id]
 
     # -- validation ---------------------------------------------------------
 
@@ -367,7 +343,7 @@ class Gateway:
         return model.validate_structure(
             candidate_assembly_ids,
             candidate_bom_id,
-            self._all_assemblies(),
+            self._assemblies,
             self._all_boms(),
             self.get_component,
         )
@@ -396,9 +372,8 @@ class Gateway:
                 raise ValidationFailed(
                     "BoM failed validation", detail={"report": report.to_dict()}
                 )
-            assemblies = self._all_assemblies()
             components = runtime.distinct_components(
-                assemblies[aid] for aid in bom.assemblies
+                self._assemblies[aid] for aid in bom.assemblies
             )
             bol = Bol(
                 id=self.ids.new_id(idmod.BOL),
@@ -408,10 +383,10 @@ class Gateway:
                 status=BolStatus.OPEN,
                 shadow_items={cid: ShadowItem(component_id=cid) for cid in components},
             )
-            writes = []
+            freeze = []
             if not bom.frozen:
                 frozen = replace(bom, frozen=True)
-                writes.append(
+                freeze.append(
                     WriteOp(
                         bom_id,
                         KIND_BOM,
@@ -420,7 +395,7 @@ class Gateway:
                     )
                 )
             header = canonical_bytes(bol.to_dict())
-            writes.append(WriteOp(bol.id, KIND_BOL, header, expected_revision=0))
+            writes = [*freeze, WriteOp(bol.id, KIND_BOL, header, expected_revision=0)]
             payload: dict[str, Any] = {
                 "bol_id": bol.id,
                 "bom_id": bom_id,
@@ -431,6 +406,8 @@ class Gateway:
             self.ledger.append_entry(
                 ledgermod.BOL_CREATED, canonical_bytes(payload), extra_writes=writes
             )
+            for op in freeze:
+                self._hold(op)
             run = self._runs[bol.id] = _Run(header)
             self._bols_by_bom.setdefault(bom_id, []).append(bol.id)
             return run.snapshot()
@@ -528,16 +505,12 @@ class Gateway:
     # -- lineage queries ------------------------------------------------------
 
     def _graph_edges(self, scope: str) -> set[tuple[str, str]]:
-        assemblies = self._all_assemblies()
         if scope == lineage.GLOBAL_SCOPE:
-            member_ids = {
-                aid for bom in self._all_boms() for aid in bom.assemblies
-            }
+            member_ids = {aid for bom in self._boms.values() for aid in bom.assemblies}
         else:
-            bom = self._require_bom(scope)
-            member_ids = set(bom.assemblies)
+            member_ids = set(self._require_bom(scope).assemblies)
         return model.graph_edges(
-            assemblies[aid] for aid in member_ids if aid in assemblies
+            self._assemblies[aid] for aid in member_ids if aid in self._assemblies
         )
 
     def _lineage_query(self, node_id: str, scope: str, backward: bool) -> lineage.LineageGraph:
@@ -547,11 +520,9 @@ class Gateway:
             edges = self._graph_edges(scope)
             if scope != lineage.GLOBAL_SCOPE:
                 in_scope = {n for edge in edges for n in edge}
-                bom = self._require_bom(scope)
-                assemblies = self._all_assemblies()
-                for aid in bom.assemblies:
+                for aid in self._require_bom(scope).assemblies:
                     in_scope.add(aid)
-                    in_scope.update(assemblies[aid].components)
+                    in_scope.update(self._assemblies[aid].components)
                 if node_id not in in_scope:
                     raise NotInScope(
                         f"{node_id} does not belong to BoM {scope}",
@@ -571,27 +542,25 @@ class Gateway:
         with self._lock:
             self._require_component(component_id)
             return lineage.component_uses(
-                component_id, self._all_boms(), self._all_assemblies(), self._bols_by_bom
+                component_id, self._boms.values(), self._assemblies, self._bols_by_bom
             )
 
     def bom_detail(self, bom_id: str) -> dict[str, Any]:
         with self._lock:
             bom = self._require_bom(bom_id)
-            assemblies = self._all_assemblies()
             components = {
                 cid: self._require_component(cid)
                 for aid in bom.assemblies
-                for cid in assemblies[aid].components
+                for cid in self._assemblies[aid].components
             }
-            return lineage.bom_detail(bom, assemblies, components)
+            return lineage.bom_detail(bom, self._assemblies, components)
 
     def lineage_report(self, bol_id: str) -> lineage.LineageReport:
         with self._lock:
             bol = self._require_bol(bol_id)
             bom = self._require_bom(bol.bom_id)
-            assemblies = self._all_assemblies()
             static = lineage.bom_static_graph(
-                bom, [assemblies[aid] for aid in bom.assemblies]
+                bom, [self._assemblies[aid] for aid in bom.assemblies]
             )
             dynamic = {
                 cid: item.observations for cid, item in bol.shadow_items.items()

@@ -18,12 +18,11 @@ and internal preimages disjoint.
 from __future__ import annotations
 
 import hashlib
-import json
 from dataclasses import dataclass
 from typing import Any, Sequence
 
 from .canonical import canonical_bytes, from_canonical
-from .errors import MalformedProof
+from .errors import MalformedProof, StorageFailure
 from .store import KIND_LEDGER_ENTRY, Store, WriteOp
 
 GENESIS_HASH = "0" * 64
@@ -235,19 +234,20 @@ class Ledger:
 
     def __init__(self, store: Store):
         self._store = store
-        # lenient load: a tampered chain must still open so verify_chain can
-        # report it; appends continue from whatever the last entry claims
+        # a tampered chain must still open so verify_chain can report it;
+        # appends continue from whatever the last entry claims, and are
+        # refused if the last entry does not decode at all
         records = store.scan(KIND_LEDGER_ENTRY)
         self._count = len(records)
         self._last_hash = GENESIS_HASH
+        self._broken: str | None = None  # why appends are refused, if they are
         if records:
             try:
-                last = LedgerEntry.from_dict(
-                    json.loads(records[-1].data.decode("utf-8"))
-                )
-                self._last_hash = last.entry_hash
-            except Exception:
-                pass
+                self._last_hash = LedgerEntry.from_dict(
+                    from_canonical(records[-1].data)
+                ).entry_hash
+            except (ValueError, KeyError, TypeError) as exc:
+                self._broken = f"ledger entry {len(records) - 1} does not decode: {exc!r}"
 
     def append_entry(
         self,
@@ -255,6 +255,8 @@ class Ledger:
         payload: bytes,
         extra_writes: Sequence[WriteOp] = (),
     ) -> LedgerEntry:
+        if self._broken is not None:
+            raise StorageFailure(f"ledger refuses appends: {self._broken}")
         if entry_type not in ENTRY_TYPES:
             raise ValueError(f"unknown entry type {entry_type!r}")
         # payloads must already be canonical bytes
@@ -286,7 +288,7 @@ class Ledger:
     def entries(self) -> list[LedgerEntry]:
         out = []
         for record in self._store.scan(KIND_LEDGER_ENTRY):
-            out.append(LedgerEntry.from_dict(json.loads(record.data.decode("utf-8"))))
+            out.append(LedgerEntry.from_dict(from_canonical(record.data)))
         return out
 
     def verify_chain(self) -> tuple[bool, int | None]:
@@ -295,18 +297,20 @@ class Ledger:
         entries: list[LedgerEntry] = []
         for pos, record in enumerate(records):
             try:
-                entries.append(
-                    LedgerEntry.from_dict(json.loads(record.data.decode("utf-8")))
-                )
+                entries.append(LedgerEntry.from_dict(from_canonical(record.data)))
             except Exception:
                 entries_ok, bad = verify_entries(entries)
                 return False, bad if not entries_ok else pos
         return verify_entries(entries)
 
     def export(self) -> bytes:
-        """Newline-delimited canonical JSON, one entry per line, index order."""
-        lines = [canonical_bytes(entry.to_dict()) for entry in self.entries()]
-        return b"".join(line + b"\n" for line in lines)
+        """Newline-delimited canonical JSON, one entry per line, index order.
+
+        Each stored entry record already is its canonical line.
+        """
+        return b"".join(
+            record.data + b"\n" for record in self._store.scan(KIND_LEDGER_ENTRY)
+        )
 
     @property
     def count(self) -> int:

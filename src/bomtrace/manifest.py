@@ -190,9 +190,9 @@ class _Compiler:
             else:
                 assembly_ids.append(self._build_assembly(entry))
 
-        assemblies_by_id = dict(self.gateway._all_assemblies())
-        for assembly in self.new_assemblies:
-            assemblies_by_id[assembly.id] = assembly
+        assemblies_by_id = {
+            **self.gateway._assemblies, **{a.id: a for a in self.new_assemblies}
+        }
         report = validate_structure(
             assembly_ids,
             None,
@@ -222,7 +222,7 @@ class _Compiler:
             for a in self.new_assemblies
         ]
         writes.append(WriteOp(bom.id, KIND_BOM, canonical_bytes(bom.to_dict()), 0))
-        self.gateway.store.put_many(writes)
+        self.gateway._commit(writes)
         return bom
 
 

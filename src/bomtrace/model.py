@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
+from types import MappingProxyType
 from typing import Any, Callable, Iterable, Mapping
 
 from . import ids
@@ -47,7 +48,7 @@ class ComponentRecord:
     kind: ComponentKind
     name: str
     description: str | None = None
-    access_metadata: dict[str, str] = field(default_factory=dict)
+    access_metadata: Mapping[str, str] = field(default_factory=dict)
 
     def to_dict(self) -> dict[str, Any]:
         doc: dict[str, Any] = {"id": self.id, "kind": self.kind.value, "name": self.name}
@@ -64,7 +65,8 @@ class ComponentRecord:
             kind=ComponentKind(doc["kind"]),
             name=doc["name"],
             description=doc.get("description"),
-            access_metadata=dict(doc.get("metadata", {})),
+            # read-only: a decoded record is shared by every reader
+            access_metadata=MappingProxyType(dict(doc.get("metadata", {}))),
         )
 
 

@@ -166,3 +166,27 @@ def test_written_observation_is_the_stored_form(tmp_path):
     finally:
         reopened.close()
     assert stored == (written,)
+
+
+def test_undecodable_last_entry_refuses_appends(tmp_path):
+    gw = open_gateway(tmp_path)
+    parts = build_hpc(gw)
+    bol = gw.instantiate_bol(parts["bom"])
+    gw.record_observation(bol.id, parts["result"], "reading 0")
+    count = gw.ledger.count
+    gw.close()
+    with Store(tmp_path) as store:
+        store.put(f"le_{count - 1:016d}", "ledger_entry", b"\xff not an entry")
+
+    reopened = open_gateway(tmp_path)
+    try:
+        assert reopened.verify_chain() == (False, count - 1)
+        body = json.dumps({"component_id": parts["result"], "payload": "after"}).encode()
+        status, _, data = dispatch(reopened, "POST", f"/bols/{bol.id}/observations", "", body)
+        # appending would chain from genesis, so the ledger refuses
+        assert (status, json.loads(data)["code"]) == (500, "STORAGE_FAILURE")
+        assert reopened.ledger.count == count
+        status, _, _ = dispatch(reopened, "GET", f"/bols/{bol.id}")
+        assert status == 200
+    finally:
+        reopened.close()
