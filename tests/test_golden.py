@@ -22,7 +22,7 @@ response bytes (say which, and why, in CHANGES.md):
 
     PYTHONPATH=src python tests/test_golden.py
 
-The script never overwrites ``store.ndjson``: it pins the layout of the
+It prints each label whose status or hash moved. The script never overwrites ``store.ndjson``: it pins the layout of the
 version that wrote it.
 """
 
@@ -297,12 +297,22 @@ def run_transcript(data: Path) -> tuple[dict, bytes]:
     return {"ids": ids, "session": first.steps, "reopened": second.steps}, log
 
 
+def first_difference(steps: list[list], expected: list[list]) -> str | None:
+    """The first step that differs from the pinned one; None when all agree."""
+    for index, (got, want) in enumerate(zip(steps, expected)):
+        if got != want:
+            return f"step {index} {got[0]!r}: got {got[1:]}, pinned {want[0]!r} {want[1:]}"
+    if len(steps) != len(expected):
+        return f"{len(steps)} steps, pinned {len(expected)}"
+    return None
+
+
 def test_golden_transcript(tmp_path):
     expected = json.loads(TRANSCRIPT.read_text(encoding="utf-8"))
     transcript, _ = run_transcript(tmp_path / "data")
     assert transcript["ids"] == expected["ids"]
-    assert transcript["session"] == expected["session"]
-    assert transcript["reopened"] == expected["reopened"]
+    assert first_difference(transcript["session"], expected["session"]) is None
+    assert first_difference(transcript["reopened"], expected["reopened"]) is None
 
 
 def test_golden_transcript_on_older_layout(tmp_path):
@@ -316,13 +326,19 @@ def test_golden_transcript_on_older_layout(tmp_path):
         steps = after_reopen(gateway, clock, expected["ids"]).steps
     finally:
         gateway.close()
-    assert steps == expected["reopened"]
+    assert first_difference(steps, expected["reopened"]) is None
 
 
 if __name__ == "__main__":
     with tempfile.TemporaryDirectory() as scratch:
         transcript, log = run_transcript(Path(scratch) / "data")
     GOLDEN.mkdir(exist_ok=True)
+    pinned = json.loads(TRANSCRIPT.read_text(encoding="utf-8")) if TRANSCRIPT.exists() else {}
+    for part in ("session", "reopened"):
+        old = pinned.get(part, [])
+        for index, step in enumerate(transcript[part]):
+            if index >= len(old) or step != old[index]:
+                print(f"moved: {part} step {index} {step[0]}", file=sys.stderr)
     TRANSCRIPT.write_text(json.dumps(transcript, indent=1) + "\n", encoding="utf-8")
     if not FIXTURE_LOG.exists():
         FIXTURE_LOG.write_bytes(log)
