@@ -14,16 +14,16 @@ is also logged next to the ledger indexes the mutation produced.
 from __future__ import annotations
 
 import base64
-import binascii
 import json
 import logging
 from dataclasses import dataclass
+from functools import cache
 from typing import Any, Callable
 from urllib.parse import parse_qsl
 
 from . import __version__
 from .canonical import canonical_bytes
-from .errors import BomTraceError
+from .errors import BomTraceError, MalformedBody, UnknownId, UnknownRoute
 from .gateway import Gateway
 from .ids import REQUEST
 from .ledger import InclusionProof, verify_inclusion
@@ -60,41 +60,15 @@ ERROR_STATUS: dict[str, int] = {
 }
 
 
-class ApiError(BomTraceError):
-    """Transport-level failure (bad body or no such route)."""
-
-    def __init__(self, code: str, message: str, detail: dict | None = None):
-        super().__init__(message, detail)
-        self.code = code
-
-
-# -- handlers ------------------------------------------------------------
-
-
-def _need(body: dict, key: str, types) -> Any:
-    if key not in body:
-        raise ApiError("MALFORMED_BODY", f"missing required field {key!r}")
-    value = body[key]
-    if not isinstance(value, types):
-        raise ApiError("MALFORMED_BODY", f"field {key!r} has the wrong type")
-    return value
-
-
-def _opt(body: dict, key: str, types, default=None) -> Any:
-    if key not in body or body[key] is None:
-        return default
-    value = body[key]
-    if not isinstance(value, types):
-        raise ApiError("MALFORMED_BODY", f"field {key!r} has the wrong type")
-    return value
+# -- handlers: each reads a body already checked against its Route.request
 
 
 def _create_component(gw: Gateway, params, query, body):
     component = gw.create_component(
-        kind=_need(body, "kind", str),
-        name=_need(body, "name", str),
-        description=_opt(body, "description", str),
-        access_metadata=_opt(body, "metadata", (dict, list)),
+        kind=body["kind"],
+        name=body["name"],
+        description=body.get("description"),
+        access_metadata=body.get("metadata"),
     )
     return {"component": component.to_dict()}
 
@@ -121,12 +95,12 @@ def _uses(gw: Gateway, params, query, body):
 
 def _create_assembly(gw: Gateway, params, query, body):
     assembly = gw.create_assembly(
-        name=_need(body, "name", str),
-        description=_opt(body, "description", str),
-        input_data=_opt(body, "inputData", list, []),
-        input_artifacts=_opt(body, "inputArtifacts", list, []),
-        output_data=_opt(body, "outputData", list, []),
-        output_artifacts=_opt(body, "outputArtifacts", list, []),
+        name=body["name"],
+        description=body.get("description"),
+        input_data=body.get("inputData") or (),
+        input_artifacts=body.get("inputArtifacts") or (),
+        output_data=body.get("outputData") or (),
+        output_artifacts=body.get("outputArtifacts") or (),
     )
     return {"assembly": assembly.to_dict()}
 
@@ -134,7 +108,7 @@ def _create_assembly(gw: Gateway, params, query, body):
 def _get_assembly(gw: Gateway, params, query, body):
     assembly = gw.get_assembly(params["id"])
     if assembly is None:
-        raise ApiError("UNKNOWN_ID", f"unknown assembly {params['id']}")
+        raise UnknownId(f"unknown assembly {params['id']}")
     return assembly.to_dict()
 
 
@@ -148,16 +122,10 @@ def _get_bom(gw: Gateway, params, query, body):
 
 
 def _update_bom(gw: Gateway, params, query, body):
-    kwargs: dict[str, Any] = {}
-    if "name" in body:
-        kwargs["name"] = _need(body, "name", str)
-    if "description" in body:
-        kwargs["description"] = _opt(body, "description", str)
-    if "assemblies" in body:
-        kwargs["assembly_ids"] = _need(body, "assemblies", list)
-    if "expected_revision" in body:
-        kwargs["expected_revision"] = _need(body, "expected_revision", int)
-    gw.update_bom(params["id"], **kwargs)
+    # a null description clears it; an absent one leaves it as it is
+    description = {"description": body["description"]} if "description" in body else {}
+    gw.update_bom(params["id"], name=body.get("name"), assembly_ids=body.get("assemblies"),
+                  expected_revision=body.get("expected_revision"), **description)
     return {"bom": gw.bom_detail(params["id"])}
 
 
@@ -166,7 +134,7 @@ def _validate_bom(gw: Gateway, params, query, body):
 
 
 def _instantiate_bol(gw: Gateway, params, query, body):
-    bol = gw.instantiate_bol(params["id"], run_label=_opt(body, "run_label", str))
+    bol = gw.instantiate_bol(params["id"], run_label=body.get("run_label"))
     return {"bol": bol.to_dict()}
 
 
@@ -181,9 +149,9 @@ def _bol_report(gw: Gateway, params, query, body):
 def _record_observation(gw: Gateway, params, query, body):
     observation, index = gw.record_observation_indexed(
         params["id"],
-        component_id=_need(body, "component_id", str),
-        payload=_need(body, "payload", str),
-        note=_opt(body, "note", str),
+        component_id=body["component_id"],
+        payload=body["payload"],
+        note=body.get("note"),
     )
     return {
         "bol_id": params["id"],
@@ -206,7 +174,7 @@ def _inclusion_proof(gw: Gateway, params, query, body):
     try:
         leaf_index = int(params["leaf_index"])
     except ValueError:
-        raise ApiError("MALFORMED_BODY", "leaf index must be an integer") from None
+        raise MalformedBody("leaf index must be an integer") from None
     leaf, proof = gw.inclusion_proof(params["id"], leaf_index)
     bol = gw.get_bol(params["id"])
     return {
@@ -218,16 +186,14 @@ def _inclusion_proof(gw: Gateway, params, query, body):
 
 def _verify_inclusion(gw: Gateway, params, query, body):
     try:
-        leaf = base64.b64decode(_need(body, "leaf_b64", str), validate=True)
-    except (binascii.Error, ValueError) as exc:
-        raise ApiError("MALFORMED_BODY", f"leaf_b64 is not valid base64: {exc}") from None
-    proof_doc = _need(body, "proof", dict)
+        leaf = base64.b64decode(body["leaf_b64"], validate=True)
+    except ValueError as exc:  # binascii.Error is a ValueError
+        raise MalformedBody(f"leaf_b64 is not valid base64: {exc}") from None
     try:
-        proof = InclusionProof.from_dict(proof_doc)
+        proof = InclusionProof.from_dict(body["proof"])
     except (KeyError, TypeError, IndexError) as exc:
-        raise ApiError("MALFORMED_BODY", f"proof document is malformed: {exc}") from None
-    included = verify_inclusion(leaf, proof, _need(body, "merkle_root", str))
-    return {"included": included}
+        raise MalformedBody(f"proof document is malformed: {exc}") from None
+    return {"included": verify_inclusion(leaf, proof, body["merkle_root"])}
 
 
 def _ledger_verify(gw: Gateway, params, query, body):
@@ -276,7 +242,8 @@ ROUTES: tuple[Route, ...] = (
         "Create a data source or artifact",
         _create_component, True, 201,
         {"kind": "string (data_source|artifact)", "name": "string",
-         "description": "string?", "metadata": "map[string,string]?"},
+         "description": "string?",
+         "metadata": "map[string,string]|array[[string,string]]?"},
         {"request_id": "string", "component": "object"},
         None,
         ("MALFORMED_BODY", "EMPTY_NAME", "DUPLICATE_METADATA_KEY"),
@@ -339,7 +306,7 @@ ROUTES: tuple[Route, ...] = (
         "Create a BoM from a manifest (inline or pre-created parts)",
         _define_bom, True, 201,
         {"name": "string", "description": "string?",
-         "components": "array[object]?", "assemblies": "array[object|string]"},
+         "components": "array[object]?", "assemblies": "array[object|string]?"},
         {"request_id": "string", "bom": "object (nested detail)"},
         None,
         ("MALFORMED_BODY", "EMPTY_NAME", "DUPLICATE_METADATA_KEY", "DANGLING_REF",
@@ -537,11 +504,51 @@ def _match(method: str, path: str) -> tuple[Route | None, dict[str, str], bool]:
     return None, {}, path_known
 
 
-def _error_body(code: str, message: str, detail: dict | None) -> dict[str, Any]:
-    body: dict[str, Any] = {"code": code, "message": message}
-    if detail:
-        body["detail"] = detail
-    return body
+def _split(shape: str, sep: str) -> list[str]:
+    """Split ``shape`` at each ``sep`` outside brackets and parentheses."""
+    parts, depth, start = [], 0, 0
+    for i, char in enumerate(shape):
+        depth += (char in "[(") - (char in "])")
+        if char == sep and depth == 0:
+            parts.append(shape[start:i])
+            start = i + 1
+    return parts + [shape[start:]]
+
+
+@cache
+def _shape(shape: str) -> Callable[[Any], bool]:
+    """Compile one ``Route.request`` shape (grammar in README) to a predicate."""
+    options = _split(shape, "|")
+    if len(options) > 1:
+        checks = [_shape(option) for option in options]
+        return lambda value: any(check(value) for check in checks)
+    if shape.startswith("string ("):
+        allowed = frozenset(shape[8:-1].split("|"))
+        return lambda value: isinstance(value, str) and value in allowed
+    head, _, rest = shape.partition("[")
+    if head == "array":
+        item = _shape(rest[:-1])
+        return lambda value: isinstance(value, list) and all(map(item, value))
+    if head == "map" and rest.startswith("string,"):
+        item = _shape(rest[7:-1])
+        return lambda value: isinstance(value, dict) and all(map(item, value.values()))
+    if head == "" and rest:
+        items = [_shape(part) for part in _split(rest[:-1], ",")]
+        return lambda value: (isinstance(value, list) and len(value) == len(items)
+                              and all(check(v) for check, v in zip(items, value)))
+    kind = {"string": str, "int": int, "object": dict}[shape]
+    return lambda value: type(value) is kind  # so a JSON true is not an int
+
+
+def _check_body(request: dict[str, str], body: dict[str, Any]) -> None:
+    """Refuse a body whose declared fields do not have their declared shapes."""
+    for key, shape in request.items():
+        if body.get(key) is None and shape.endswith("?"):
+            continue  # an optional field may be absent or null
+        if key not in body:
+            raise MalformedBody(f"missing required field {key!r}")
+        if not _shape(shape.rstrip("?"))(body[key]):
+            raise MalformedBody(f"field {key!r} has the wrong type")
 
 
 def dispatch(
@@ -553,38 +560,34 @@ def dispatch(
     base_path: str = "",
 ) -> tuple[int, str, bytes]:
     """Route one request; returns (status, content type, body bytes)."""
-    if base_path:
-        if not path.startswith(base_path):
-            doc = _error_body("UNKNOWN_ROUTE", f"no route for {method} {path}", None)
-            return 404, JSON_TYPE, canonical_bytes(doc)
-        path = path[len(base_path):] or "/"
-
-    if isinstance(query, str):
-        query = dict(parse_qsl(query))
-
-    route, params, path_known = _match(method, path)
-    if route is None:
-        message = (
-            f"method {method} not supported for {path}"
-            if path_known
-            else f"no route for {method} {path}"
-        )
-        return 404, JSON_TYPE, canonical_bytes(_error_body("UNKNOWN_ROUTE", message, None))
-
-    parsed_body: dict[str, Any] | None = None
-    if body:
-        try:
-            parsed_body = json.loads(body.decode("utf-8"))
-        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-            doc = _error_body("MALFORMED_BODY", f"request body is not valid JSON: {exc}", None)
-            return 400, JSON_TYPE, canonical_bytes(doc)
-        if not isinstance(parsed_body, dict):
-            doc = _error_body("MALFORMED_BODY", "request body must be a JSON object", None)
-            return 400, JSON_TYPE, canonical_bytes(doc)
-    if parsed_body is None and route.request is not None:
-        parsed_body = {}
-
     try:
+        if base_path:
+            if not path.startswith(base_path):
+                raise UnknownRoute(f"no route for {method} {path}")
+            path = path[len(base_path):] or "/"
+
+        if isinstance(query, str):
+            query = dict(parse_qsl(query))
+
+        route, params, path_known = _match(method, path)
+        if route is None:
+            raise UnknownRoute(
+                f"method {method} not supported for {path}"
+                if path_known
+                else f"no route for {method} {path}"
+            )
+
+        parsed_body: dict[str, Any] = {}
+        if body:
+            try:
+                parsed_body = json.loads(body.decode("utf-8"))
+            except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+                raise MalformedBody(f"request body is not valid JSON: {exc}") from None
+            if not isinstance(parsed_body, dict):
+                raise MalformedBody("request body must be a JSON object")
+        if route.request is not None:
+            _check_body(route.request, parsed_body)
+
         ledger_before = gateway.ledger.count
         if route.name == "schema":
             result = _schema(gateway, params, query, parsed_body, base_path=base_path)
@@ -597,19 +600,13 @@ def dispatch(
                 "request %s: %s %s -> ledger entries [%d..%d)",
                 request_id, method, path, ledger_before, gateway.ledger.count,
             )
-    except BomTraceError as exc:
-        status = ERROR_STATUS.get(exc.code, 500)
-        return status, JSON_TYPE, canonical_bytes(_error_body(exc.code, exc.message, exc.detail))
-    except (TypeError, KeyError, ValueError) as exc:
-        doc = _error_body("MALFORMED_BODY", f"invalid request: {exc}", None)
-        return 400, JSON_TYPE, canonical_bytes(doc)
-    except Exception:
-        # a fault in the program, not in the request: answer rather than
-        # drop the connection, and keep the traceback in the log
-        logger.exception("request failed: %s %s", method, path)
-        doc = _error_body("INTERNAL", f"internal error handling {method} {path}", None)
-        return 500, JSON_TYPE, canonical_bytes(doc)
-
-    if isinstance(result, bytes):
-        return route.success_status, NDJSON_TYPE, result
-    return route.success_status, JSON_TYPE, canonical_bytes(result)
+        if isinstance(result, bytes):
+            return route.success_status, NDJSON_TYPE, result
+        return route.success_status, JSON_TYPE, canonical_bytes(result)
+    except Exception as exc:
+        if not isinstance(exc, BomTraceError):
+            # a fault in the program, not in the request: answer rather than
+            # drop the connection, and keep the traceback in the log
+            logger.exception("request failed: %s %s", method, path)
+            exc = BomTraceError(f"internal error handling {method} {path}")
+        return ERROR_STATUS.get(exc.code, 500), JSON_TYPE, canonical_bytes(exc.to_dict())

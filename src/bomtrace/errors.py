@@ -1,11 +1,8 @@
 """Domain errors with stable codes.
 
-Each failure mode in the library maps to exactly one code. The HTTP layer
-reuses these codes verbatim in error bodies (plus the transport-level codes
-``MALFORMED_BODY`` and ``UNKNOWN_ROUTE``, ``BODY_TOO_LARGE`` (413) for a
-request body over the server's cap, and ``INTERNAL`` (500) for a fault in the
-program itself), so the set below is the closed vocabulary clients can rely
-on.
+Each failure mode maps to exactly one code, and the HTTP layer answers with
+these codes verbatim, so the set below is the closed vocabulary clients can
+rely on. The base class's ``INTERNAL`` marks a fault in the program itself.
 """
 
 from __future__ import annotations
@@ -28,6 +25,14 @@ class BomTraceError(Exception):
         if self.detail:
             body["detail"] = self.detail
         return body
+
+
+class MalformedBody(BomTraceError):
+    code = "MALFORMED_BODY"
+
+
+class UnknownRoute(BomTraceError):
+    code = "UNKNOWN_ROUTE"
 
 
 class EmptyName(BomTraceError):

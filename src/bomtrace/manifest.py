@@ -33,7 +33,7 @@ from typing import Any
 
 from . import ids as idmod
 from .canonical import canonical_bytes
-from .errors import BomTraceError, DanglingRef, ValidationFailed
+from .errors import DanglingRef, MalformedBody, ValidationFailed
 from .model import (
     Assembly,
     Bom,
@@ -58,15 +58,9 @@ _ASSEMBLY_KEYS = {"name", "description", "inputData", "inputArtifacts", "outputD
 _MANIFEST_KEYS = {"name", "description", "components", "assemblies"}
 
 
-class ManifestError(BomTraceError):
-    """Structurally invalid manifest document."""
-
-    code = "MALFORMED_BODY"
-
-
 def _require(condition: bool, message: str) -> None:
     if not condition:
-        raise ManifestError(message)
+        raise MalformedBody(message)
 
 
 class _Compiler:
@@ -123,7 +117,7 @@ class _Compiler:
                 if self.gateway.get_component(entry) is not None:
                     return entry
                 raise DanglingRef(f"unknown component {entry}", detail={"id": entry})
-            raise ManifestError(
+            raise MalformedBody(
                 f"{entry!r} is neither a name declared in this file nor a component id"
             )
         return self._component_from_doc(entry, kind)

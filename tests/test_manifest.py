@@ -2,8 +2,7 @@ import copy
 
 import pytest
 
-from bomtrace.errors import DanglingRef, EmptyName, ValidationFailed
-from bomtrace.manifest import ManifestError
+from bomtrace.errors import DanglingRef, EmptyName, MalformedBody, ValidationFailed
 from conftest import HPC_MANIFEST
 
 
@@ -103,7 +102,7 @@ def test_duplicate_name_rejected(gw):
             {"name": "B", "inputData": [{"name": "X"}], "outputData": [{"name": "Z"}]},
         ],
     }
-    with pytest.raises(ManifestError):
+    with pytest.raises(MalformedBody):
         gw.define_bom(manifest)
 
 
@@ -115,26 +114,26 @@ def test_assembly_name_collision_rejected(gw):
             {"name": "Stage", "inputData": ["X"]},
         ],
     }
-    with pytest.raises(ManifestError):
+    with pytest.raises(MalformedBody):
         gw.define_bom(manifest)
 
 
 def test_undeclared_name_rejected(gw):
-    with pytest.raises(ManifestError):
+    with pytest.raises(MalformedBody):
         gw.define_bom(
             {"name": "Bad", "assemblies": [{"name": "A", "inputData": ["Ghost"]}]}
         )
 
 
 def test_unknown_keys_rejected(gw):
-    with pytest.raises(ManifestError):
+    with pytest.raises(MalformedBody):
         gw.define_bom({"name": "Bad", "pipelines": []})
-    with pytest.raises(ManifestError):
+    with pytest.raises(MalformedBody):
         gw.define_bom(
             {"name": "Bad",
              "assemblies": [{"name": "A", "inputs": []}]}
         )
-    with pytest.raises(ManifestError):
+    with pytest.raises(MalformedBody):
         gw.define_bom(
             {"name": "Bad",
              "assemblies": [{"name": "A", "inputData": [{"name": "X", "dataAccess": "u"}]}]}
