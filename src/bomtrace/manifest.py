@@ -63,6 +63,27 @@ def _require(condition: bool, message: str) -> None:
         raise MalformedBody(message)
 
 
+def _list(doc: dict[str, Any], key: str) -> list[Any]:
+    """An optional list field; absent or null reads as empty."""
+    entries = doc.get(key)
+    _require(entries is None or isinstance(entries, list), f"{key} must be a list")
+    return entries or []
+
+
+def _description(doc: dict[str, Any]) -> str | None:
+    description = doc.get("description")
+    _require(description is None or isinstance(description, str),
+             "description must be a string")
+    return description
+
+
+def _kind(value: Any) -> ComponentKind:
+    try:
+        return ComponentKind(value)
+    except ValueError:
+        raise MalformedBody(f"unknown component kind {value!r}") from None
+
+
 class _Compiler:
     """Two-phase manifest build: stage everything, then commit one txn."""
 
@@ -78,16 +99,17 @@ class _Compiler:
         _require(name not in self.used_names, f"name {name!r} declared twice in this file")
         self.used_names.add(name)
 
-    def _declare_component(
-        self, name: str, kind: ComponentKind, description: str | None, metadata: Any
-    ) -> ComponentRecord:
+    def _declare_component(self, doc: dict[str, Any], kind: ComponentKind) -> ComponentRecord:
+        unknown = set(doc) - _COMPONENT_KEYS
+        _require(not unknown, f"unknown component keys: {sorted(unknown)}")
+        name = doc.get("name", "")
         self._claim_name(name)
         record = ComponentRecord(
             id=self.gateway.ids.new_id(kind.id_prefix),
             kind=kind,
             name=name,
-            description=description,
-            access_metadata=normalize_metadata(metadata),
+            description=_description(doc),
+            access_metadata=normalize_metadata(doc.get("metadata")),
         )
         self.declared[name] = record
         self.new_components.append(record)
@@ -95,19 +117,14 @@ class _Compiler:
 
     def _component_from_doc(self, doc: dict[str, Any], kind: ComponentKind) -> str:
         _require(isinstance(doc, dict), "component entries must be objects or strings")
-        unknown = set(doc) - _COMPONENT_KEYS
-        _require(not unknown, f"unknown component keys: {sorted(unknown)}")
         if "kind" in doc:
-            declared_kind = ComponentKind(doc["kind"])
+            declared_kind = _kind(doc["kind"])
             _require(
                 declared_kind is kind,
                 f"component {doc.get('name')!r} declares kind {declared_kind.value} "
                 f"but sits in a {kind.value} list",
             )
-        record = self._declare_component(
-            doc.get("name", ""), kind, doc.get("description"), doc.get("metadata")
-        )
-        return record.id
+        return self._declare_component(doc, kind).id
 
     def _resolve_entry(self, entry: Any, kind: ComponentKind) -> str:
         if isinstance(entry, str):
@@ -135,9 +152,7 @@ class _Compiler:
         self._claim_name(doc.get("name", ""))
         lists: dict[str, list[str]] = {}
         for key, kind in _LIST_KINDS.items():
-            entries = doc.get(key, [])
-            _require(isinstance(entries, list), f"{key} must be a list")
-            lists[key] = [self._resolve_entry(entry, kind) for entry in entries]
+            lists[key] = [self._resolve_entry(entry, kind) for entry in _list(doc, key)]
         check_assembly_lists(
             lists["inputData"],
             lists["inputArtifacts"],
@@ -148,7 +163,7 @@ class _Compiler:
         assembly = Assembly(
             id=self.gateway.ids.new_id(idmod.ASSEMBLY),
             name=doc["name"],
-            description=doc.get("description"),
+            description=_description(doc),
             input_data=tuple(lists["inputData"]),
             input_artifacts=tuple(lists["inputArtifacts"]),
             output_data=tuple(lists["outputData"]),
@@ -162,21 +177,15 @@ class _Compiler:
         unknown = set(doc) - _MANIFEST_KEYS
         _require(not unknown, f"unknown manifest keys: {sorted(unknown)}")
         require_name(doc.get("name", ""))
+        description = _description(doc)
 
-        for comp in doc.get("components", []):
+        for comp in _list(doc, "components"):
             _require(isinstance(comp, dict), "components entries must be objects")
-            unknown = set(comp) - _COMPONENT_KEYS
-            _require(not unknown, f"unknown component keys: {sorted(unknown)}")
             _require("kind" in comp, "components entries need an explicit kind")
-            self._declare_component(
-                comp.get("name", ""),
-                ComponentKind(comp["kind"]),
-                comp.get("description"),
-                comp.get("metadata"),
-            )
+            self._declare_component(comp, _kind(comp["kind"]))
 
         assembly_ids: list[str] = []
-        for entry in doc.get("assemblies", []):
+        for entry in _list(doc, "assemblies"):
             if isinstance(entry, str):
                 if self.gateway.get_assembly(entry) is None:
                     raise DanglingRef(f"unknown assembly {entry}", detail={"id": entry})
@@ -202,7 +211,7 @@ class _Compiler:
         bom = Bom(
             id=self.gateway.ids.new_id(idmod.BOM),
             name=doc["name"],
-            description=doc.get("description"),
+            description=description,
             assemblies=tuple(assembly_ids),
             frozen=False,
             created_at=now,

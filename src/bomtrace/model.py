@@ -10,6 +10,7 @@ most one producing assembly anywhere.
 
 from __future__ import annotations
 
+import unicodedata
 from dataclasses import dataclass, field
 from enum import Enum
 from types import MappingProxyType
@@ -23,6 +24,7 @@ from .errors import (
     EmptyName,
     InputOutputOverlap,
     KindMismatch,
+    MalformedBody,
 )
 
 
@@ -176,17 +178,28 @@ def require_name(name: str) -> None:
 
 
 def normalize_metadata(metadata: Any) -> dict[str, str]:
-    """Accepts a mapping or (key, value) pairs; rejects duplicate keys."""
+    """Accepts a mapping or [key, value] pairs of strings; rejects duplicate keys.
+
+    Keys are compared, and kept, in NFC: two spellings of one key would be
+    one key once the record is stored as canonical JSON.
+    """
     if metadata is None:
         return {}
     if isinstance(metadata, Mapping):
         pairs = list(metadata.items())
+    elif isinstance(metadata, (list, tuple)) and all(
+        isinstance(pair, (list, tuple)) and len(pair) == 2 for pair in metadata
+    ):
+        pairs = metadata
     else:
-        pairs = [(k, v) for k, v in metadata]
+        raise MalformedBody("metadata must be a map or a list of [key, value] pairs")
     out: dict[str, str] = {}
     for key, value in pairs:
         if not isinstance(key, str) or not isinstance(value, str):
-            raise TypeError(f"metadata entries must be string pairs, got ({key!r}, {value!r})")
+            raise MalformedBody(
+                f"metadata entries must be string pairs, got ({key!r}, {value!r})"
+            )
+        key = unicodedata.normalize("NFC", key)
         if key in out:
             raise DuplicateMetadataKey(f"metadata key {key!r} given twice")
         out[key] = value

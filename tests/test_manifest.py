@@ -140,6 +140,40 @@ def test_unknown_keys_rejected(gw):
         )
 
 
+def _stage(**assembly):
+    return {"name": "Typed", "assemblies": [{"name": "A", **assembly}]}
+
+
+WRONG_TYPED_MANIFESTS = [
+    {"name": "Typed", "description": 5},
+    _stage(description=[1], inputData=[{"name": "X"}]),
+    _stage(inputData=[{"name": "X", "description": 7}]),
+    _stage(inputData=[{"name": "X", "kind": "bogus"}]),
+    {"name": "Typed", "components": [{"name": "X", "kind": ["data_source"]}]},
+    _stage(inputData=[{"name": "X", "metadata": "ab"}]),
+    _stage(inputData=[{"name": "X", "metadata": [["k", 1]]}]),
+    _stage(inputData=[{"name": "X", "metadata": {"k": None}}]),
+    {"name": "Typed", "components": "X"},
+    {"name": "Typed", "assemblies": {"name": "A"}},
+    _stage(inputData="X"),
+]
+
+
+def test_wrong_typed_manifest_fields_rejected(gw):
+    before = gw.store.record_count
+    for manifest in WRONG_TYPED_MANIFESTS:
+        with pytest.raises(MalformedBody):
+            gw.define_bom(manifest)
+    assert gw.store.record_count == before
+
+
+def test_null_lists_read_as_empty(gw):
+    bom = gw.define_bom({"name": "Nulls", "components": None,
+                         "assemblies": [{"name": "A", "inputData": None,
+                                         "outputData": [{"name": "Out"}]}]})
+    assert gw.bom_detail(bom.id)["assemblies"][0]["inputData"] == []
+
+
 def test_kind_conflict_between_section_and_list(gw):
     manifest = {
         "name": "Conflict",

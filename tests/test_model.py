@@ -55,6 +55,11 @@ def test_duplicate_metadata_key_rejected(gw):
         gw.create_component(
             "data_source", "x", access_metadata=[("k", "1"), ("k", "2")]
         )
+    # one key in two Unicode spellings is one key once stored as NFC
+    with pytest.raises(DuplicateMetadataKey):
+        gw.create_component(
+            "data_source", "y", access_metadata={"caf\u00e9": "1", "cafe\u0301": "2"}
+        )
 
 
 def test_metadata_values_stored_byte_exact(gw):
