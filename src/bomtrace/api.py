@@ -189,10 +189,7 @@ def _verify_inclusion(gw: Gateway, params, query, body):
         leaf = base64.b64decode(body["leaf_b64"], validate=True)
     except ValueError as exc:  # binascii.Error is a ValueError
         raise MalformedBody(f"leaf_b64 is not valid base64: {exc}") from None
-    try:
-        proof = InclusionProof.from_dict(body["proof"])
-    except (KeyError, TypeError, IndexError) as exc:
-        raise MalformedBody(f"proof document is malformed: {exc}") from None
+    proof = InclusionProof.from_dict(body["proof"])
     return {"included": verify_inclusion(leaf, proof, body["merkle_root"])}
 
 

@@ -109,9 +109,15 @@ class InclusionProof:
 
     @classmethod
     def from_dict(cls, doc: dict[str, Any]) -> "InclusionProof":
+        """Read a proof document; ``verify_inclusion`` checks each step."""
+        leaf_index, siblings = doc.get("leaf_index"), doc.get("siblings")
+        if type(leaf_index) is not int:  # a JSON true is not an int
+            raise MalformedProof(f"leaf_index must be an integer, got {leaf_index!r}")
+        if not isinstance(siblings, list):
+            raise MalformedProof("siblings must be a list of [digest, side] steps")
         return cls(
-            leaf_index=doc["leaf_index"],
-            siblings=tuple((s[0], s[1]) for s in doc["siblings"]),
+            leaf_index=leaf_index,
+            siblings=tuple(tuple(s) if isinstance(s, list) else s for s in siblings),
         )
 
 

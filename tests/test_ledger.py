@@ -295,6 +295,15 @@ def test_malformed_proofs_raise():
         verify_inclusion(b"a", InclusionProof(0, (("ab" * 8, "left"),)), root)
     with pytest.raises(MalformedProof):
         verify_inclusion(b"a", InclusionProof(-1, ()), root)
+    for doc in ({"leaf_index": "a", "siblings": []}, {"leaf_index": True, "siblings": []},
+                {"leaf_index": 0.0, "siblings": []}, {"siblings": []},
+                {"leaf_index": 0, "siblings": "ab"}, {"leaf_index": 0}):
+        with pytest.raises(MalformedProof):
+            InclusionProof.from_dict(doc)
+    for step in (["ab" * 32], ["ab" * 32, "left", "extra"], "ab", 7, [7, "left"]):
+        with pytest.raises(MalformedProof):
+            verify_inclusion(b"a", InclusionProof.from_dict(
+                {"leaf_index": 0, "siblings": [step]}), root)
 
 
 def test_empty_tree_rejected():
