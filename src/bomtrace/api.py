@@ -23,7 +23,7 @@ from urllib.parse import parse_qsl
 
 from . import __version__
 from .canonical import canonical_bytes
-from .errors import BomTraceError, MalformedBody, UnknownId, UnknownRoute
+from .errors import BodyTooLarge, BomTraceError, MalformedBody, UnknownId, UnknownRoute
 from .gateway import Gateway
 from .ids import REQUEST
 from .ledger import InclusionProof, verify_inclusion
@@ -33,6 +33,10 @@ logger = logging.getLogger(__name__)
 
 JSON_TYPE = "application/json"
 NDJSON_TYPE = "application/x-ndjson"
+
+# Largest request body accepted. The server refuses a longer Content-Length
+# without reading the body; dispatch refuses a longer body it is handed.
+MAX_BODY_BYTES = 8 * 1024 * 1024
 
 # status for every error code reachable through the API
 ERROR_STATUS: dict[str, int] = {
@@ -56,8 +60,14 @@ ERROR_STATUS: dict[str, int] = {
     "BOL_NOT_SEALED": 409,
     "BOM_FROZEN": 409,
     "REVISION_CONFLICT": 409,
+    "BODY_TOO_LARGE": 413,
     "STORAGE_FAILURE": 500,
+    "INTERNAL": 500,
 }
+
+# codes any route may answer, whatever its own errors
+_ANY_ROUTE_ERRORS = {"MALFORMED_BODY", "UNKNOWN_ROUTE", "BODY_TOO_LARGE", "STORAGE_FAILURE",
+                     "INTERNAL"}
 
 
 # -- handlers: each reads a body already checked against its Route.request
@@ -457,7 +467,7 @@ def build_schema(base_path: str = "") -> dict[str, Any]:
             "success_status": route.success_status,
             "mutation": route.mutation,
             "response": route.response,
-            "errors": sorted(set(route.errors) | {"UNKNOWN_ROUTE", "STORAGE_FAILURE"}),
+            "errors": sorted(set(route.errors) | _ANY_ROUTE_ERRORS),
         }
         if route.request is not None:
             doc["request"] = route.request
@@ -548,6 +558,34 @@ def _check_body(request: dict[str, str], body: dict[str, Any]) -> None:
             raise MalformedBody(f"field {key!r} has the wrong type")
 
 
+def _is_text(value: Any) -> bool:
+    """False when a string anywhere in ``value`` holds an unpaired surrogate.
+
+    JSON's ``\\ud800`` escape and a non-UTF-8 command-line argument both
+    yield one; it has no UTF-8 encoding, so no answer could echo it.
+    """
+    stack = [value]
+    while stack:  # not recursive: a parsed body may nest deeper than the stack
+        item = stack.pop()
+        if isinstance(item, str):
+            if not item.isascii():
+                try:
+                    item.encode("utf-8")
+                except UnicodeEncodeError:
+                    return False
+        elif isinstance(item, dict):
+            stack.extend(item)
+            stack.extend(item.values())
+        elif isinstance(item, list):
+            stack.extend(item)
+    return True
+
+
+def error_response(error: BomTraceError) -> tuple[int, str, bytes]:
+    """The answer that refuses a request: its code's status and canonical body."""
+    return ERROR_STATUS.get(error.code, 500), JSON_TYPE, canonical_bytes(error.to_dict())
+
+
 def dispatch(
     gateway: Gateway,
     method: str,
@@ -558,6 +596,10 @@ def dispatch(
 ) -> tuple[int, str, bytes]:
     """Route one request; returns (status, content type, body bytes)."""
     try:
+        if not _is_text([method, path, query]):
+            raise MalformedBody("request path or query is not valid UTF-8")
+        if body and len(body) > MAX_BODY_BYTES:
+            raise BodyTooLarge(f"request body of {len(body)} bytes exceeds {MAX_BODY_BYTES}")
         if base_path:
             if not path.startswith(base_path):
                 raise UnknownRoute(f"no route for {method} {path}")
@@ -582,6 +624,8 @@ def dispatch(
                 raise MalformedBody(f"request body is not valid JSON: {exc}") from None
             if not isinstance(parsed_body, dict):
                 raise MalformedBody("request body must be a JSON object")
+            if not _is_text(parsed_body):
+                raise MalformedBody("request body holds an unpaired surrogate escape")
         if route.request is not None:
             _check_body(route.request, parsed_body)
 
@@ -600,10 +644,10 @@ def dispatch(
         if isinstance(result, bytes):
             return route.success_status, NDJSON_TYPE, result
         return route.success_status, JSON_TYPE, canonical_bytes(result)
-    except Exception as exc:
-        if not isinstance(exc, BomTraceError):
-            # a fault in the program, not in the request: answer rather than
-            # drop the connection, and keep the traceback in the log
-            logger.exception("request failed: %s %s", method, path)
-            exc = BomTraceError(f"internal error handling {method} {path}")
-        return ERROR_STATUS.get(exc.code, 500), JSON_TYPE, canonical_bytes(exc.to_dict())
+    except BomTraceError as exc:
+        return error_response(exc)
+    except Exception:
+        # a fault in the program, not in the request: answer rather than
+        # drop the connection, and keep the traceback in the log
+        logger.exception("request failed: %s %s", method, path)
+        return error_response(BomTraceError(f"internal error handling {method} {path}"))

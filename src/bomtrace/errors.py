@@ -35,6 +35,10 @@ class UnknownRoute(BomTraceError):
     code = "UNKNOWN_ROUTE"
 
 
+class BodyTooLarge(BomTraceError):
+    code = "BODY_TOO_LARGE"
+
+
 class EmptyName(BomTraceError):
     code = "EMPTY_NAME"
 

@@ -12,14 +12,11 @@ import os
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from urllib.parse import urlsplit
 
-from .api import JSON_TYPE, dispatch
-from .canonical import canonical_bytes
+from .api import MAX_BODY_BYTES, dispatch, error_response
+from .errors import BodyTooLarge, MalformedBody
 from .gateway import Gateway
 
 logger = logging.getLogger(__name__)
-
-# Largest request body read; a longer Content-Length is refused unread.
-MAX_BODY_BYTES = 8 * 1024 * 1024
 
 
 class _Handler(BaseHTTPRequestHandler):
@@ -39,14 +36,10 @@ class _Handler(BaseHTTPRequestHandler):
         if length < 0 or length > MAX_BODY_BYTES:
             # the body is not read, so the next request cannot be framed
             self.close_connection = True
-            if length < 0:
-                status, code = 400, "MALFORMED_BODY"
-                message = f"bad Content-Length {header!r}"
-            else:
-                status, code = 413, "BODY_TOO_LARGE"
-                message = f"request body of {length} bytes exceeds {MAX_BODY_BYTES}"
-            doc = {"code": code, "message": message}
-            self._reply(status, JSON_TYPE, canonical_bytes(doc))
+            self._reply(*error_response(
+                MalformedBody(f"bad Content-Length {header!r}") if length < 0
+                else BodyTooLarge(f"request body of {length} bytes exceeds {MAX_BODY_BYTES}")
+            ))
             return
         body = self.rfile.read(length) if length else None
         self._reply(*dispatch(

@@ -2,7 +2,7 @@ import base64
 import copy
 import json
 
-from bomtrace.api import ERROR_STATUS, ROUTES, build_schema, dispatch
+from bomtrace.api import ERROR_STATUS, MAX_BODY_BYTES, ROUTES, build_schema, dispatch
 from bomtrace.canonical import canonical_bytes
 from bomtrace.errors import StorageFailure
 from bomtrace.gateway import Gateway
@@ -365,6 +365,16 @@ def _error_scenarios(gw):
         status, _, data = dispatch(gw, method, path, "", payload)
         return status, json.loads(data.decode())
 
+    def internal():
+        def broken(*args, **kwargs):
+            raise RuntimeError("a fault in the program")
+
+        gw.trace = broken  # shadows the method on this instance only
+        try:
+            return call(gw, "GET", f"/components/{scene}/trace")[:2]
+        finally:
+            del gw.trace
+
     return {
         "MALFORMED_BODY": lambda: raw_body("POST", "/components", b"{not json"),
         "EMPTY_NAME": lambda: call(
@@ -420,6 +430,10 @@ def _error_scenarios(gw):
         "REVISION_CONFLICT": lambda: call(
             gw, "PUT", f"/boms/{other_bom}", {"name": "v2", "expected_revision": 99}
         )[:2],
+        "BODY_TOO_LARGE": lambda: raw_body(
+            "POST", "/components", b" " * (MAX_BODY_BYTES + 1)
+        ),
+        "INTERNAL": internal,
     }
 
 

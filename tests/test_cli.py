@@ -115,6 +115,19 @@ def test_unknown_id_exits_one(workdir, capsys):
     assert "UNKNOWN_BOM" in err
 
 
+def test_argument_that_is_not_utf8_exits_one(workdir, capsys):
+    # Python hands a non-UTF-8 argv byte over as a lone surrogate
+    not_utf8 = b"bom_\xff".decode("utf-8", "surrogateescape")
+    code, out, err = run_cli(workdir, "bom", "show", not_utf8, capsys=capsys)
+    assert (code, out) == (1, "")
+    assert err.startswith("error[MALFORMED_BODY]:"), err
+    _, bol_id, by_name, _ = _scripted_run(workdir, capsys)
+    code, out, err = run_cli(workdir, "bol", "record", bol_id, by_name["Result"], not_utf8,
+                             capsys=capsys)
+    assert (code, out) == (1, "")
+    assert err.startswith("error[MALFORMED_BODY]:"), err
+
+
 def test_usage_errors_exit_two(workdir, capsys):
     with pytest.raises(SystemExit) as exc:
         main(["--embedded", "--data-dir", str(workdir / "data"), "bom"])

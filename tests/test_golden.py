@@ -10,9 +10,10 @@ SHA-256 of the body]`` in ``golden/transcript.json``.
 The second part runs after a reopen: it repeats the reads, then records into
 the BoL left open, seals it and proves every leaf. It ends by building a
 second BoM from an assembly made over existing components, updating it,
-running scoped traces, and firing every model, graph and transport error
-code the first part does not. It runs twice, against the
-session's own directory and against ``golden/store.ndjson``. That file is the
+running scoped traces, firing every model, graph and transport error code
+the first part does not, and ends with bodies the request grammar refuses.
+It runs twice, against the session's own directory and against
+``golden/store.ndjson``. That file is the
 data directory the session left behind in the store layout where an open
 BoL's record carried every observation inline; it must answer with the same
 bytes.
@@ -36,7 +37,7 @@ import sys
 import tempfile
 from pathlib import Path
 
-from bomtrace.api import dispatch
+from bomtrace.api import MAX_BODY_BYTES, dispatch
 from bomtrace.gateway import Gateway
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -221,6 +222,7 @@ def after_reopen(gateway: Gateway, clock: Clock, ids: dict[str, str]) -> Session
     s.call("GET", "/ledger/verify", expect=200)
     s.call("GET", "/ledger/export", expect=200)
     model_and_errors(s, ids)
+    refusals(s, ids)
     return s
 
 
@@ -284,6 +286,28 @@ def model_and_errors(s: Session, ids: dict[str, str]) -> None:
     s.call("GET", "/ledger/verify", expect=200)
 
 
+def refusals(s: Session, ids: dict[str, str]) -> None:
+    """Bodies the request grammar refuses, an oversized body, a program fault."""
+    s.call("POST", "/assemblies", {"name": "x", "inputData": ["\ud800"]}, expect=400)
+    s.call("POST", "/assemblies", {"name": "x", "inputData": [1]}, expect=400)
+    s.call("POST", "/boms", {"name": "typed", "description": 5}, expect=400)
+    s.call("POST", "/ledger/verify-inclusion",
+           {"leaf_b64": "", "merkle_root": "0" * 64,
+            "proof": {"leaf_index": "a", "siblings": []}}, expect=400)
+    s.call("POST", "/components", {"kind": "artifact", "name": "x" * MAX_BODY_BYTES},
+           expect=413)
+
+    def broken(*args, **kwargs):
+        raise RuntimeError("a fault in the program")
+
+    s.gateway.trace = broken  # shadows the method on this instance only
+    try:
+        s.call("GET", f"/components/{ids['Camera Feed']}/trace", expect=500)
+    finally:
+        del s.gateway.trace
+    s.call("GET", "/ledger/verify", expect=200)
+
+
 def run_transcript(data: Path) -> tuple[dict, bytes]:
     """The whole session on a fresh directory; returns (transcript, first log)."""
     clock = Clock(T0)
@@ -337,7 +361,9 @@ if __name__ == "__main__":
     for part in ("session", "reopened"):
         old = pinned.get(part, [])
         for index, step in enumerate(transcript[part]):
-            if index >= len(old) or step != old[index]:
+            if index >= len(old):
+                print(f"new: {part} step {index} {step[0]}", file=sys.stderr)
+            elif step != old[index]:
                 print(f"moved: {part} step {index} {step[0]}", file=sys.stderr)
     TRANSCRIPT.write_text(json.dumps(transcript, indent=1) + "\n", encoding="utf-8")
     if not FIXTURE_LOG.exists():

@@ -114,6 +114,24 @@ def test_keep_alive_request_rejected_before_dispatch_is_answered(server):
         conn.close()
 
 
+def test_lone_surrogate_is_refused_and_connection_kept(server):
+    # valid JSON whose \ud800 escape decodes to a string with no UTF-8 form
+    conn = http.client.HTTPConnection(*server.server_address, timeout=5)
+    try:
+        for path, body in (("/assemblies", b'{"name":"x","inputData":["\\ud800"]}'),
+                           ("/boms", b'{"name":"x","assemblies":["\\udc00"]}')):
+            conn.request("POST", path, body=body)
+            response = conn.getresponse()
+            assert response.status == 400, path
+            assert json.loads(response.read())["code"] == "MALFORMED_BODY"
+        sock = conn.sock
+        status, doc = _round_trip(conn, "GET", "/healthz")
+        assert status == 200 and doc == {"status": "ok"}
+        assert conn.sock is sock  # answered on the same keep-alive connection
+    finally:
+        conn.close()
+
+
 def test_unexpected_exception_is_answered_and_connection_kept(server, monkeypatch, caplog):
     def broken(*args, **kwargs):
         raise RuntimeError("secret internals")
