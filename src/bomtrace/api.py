@@ -620,7 +620,7 @@ def dispatch(
         if body:
             try:
                 parsed_body = json.loads(body.decode("utf-8"))
-            except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+            except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
                 raise MalformedBody(f"request body is not valid JSON: {exc}") from None
             if not isinstance(parsed_body, dict):
                 raise MalformedBody("request body must be a JSON object")
