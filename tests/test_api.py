@@ -264,13 +264,6 @@ def test_proof_round_trip_through_api(gw):
     assert verdict == {"included": False}
 
 
-def test_malformed_proof_document_is_refused(gw):
-    for proof in ({"leaf_index": "a", "siblings": []}, {"leaf_index": 0, "siblings": {}}):
-        status, doc, _ = call(gw, "POST", "/ledger/verify-inclusion",
-                              {"leaf_b64": "", "proof": proof, "merkle_root": "0" * 64})
-        assert (status, doc["code"]) == (400, "MALFORMED_PROOF"), doc
-
-
 def test_update_bom_via_put(gw):
     bom = define_hpc(gw)
     status, doc, _ = call(gw, "PUT", f"/boms/{bom['id']}", {"name": "HPC v2"})

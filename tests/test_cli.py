@@ -121,11 +121,6 @@ def test_argument_that_is_not_utf8_exits_one(workdir, capsys):
     code, out, err = run_cli(workdir, "bom", "show", not_utf8, capsys=capsys)
     assert (code, out) == (1, "")
     assert err.startswith("error[MALFORMED_BODY]:"), err
-    _, bol_id, by_name, _ = _scripted_run(workdir, capsys)
-    code, out, err = run_cli(workdir, "bol", "record", bol_id, by_name["Result"], not_utf8,
-                             capsys=capsys)
-    assert (code, out) == (1, "")
-    assert err.startswith("error[MALFORMED_BODY]:"), err
 
 
 def test_usage_errors_exit_two(workdir, capsys):

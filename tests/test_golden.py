@@ -23,8 +23,9 @@ response bytes (say which, and why, in CHANGES.md):
 
     PYTHONPATH=src python tests/test_golden.py
 
-It prints each label whose status or hash moved. The script never overwrites ``store.ndjson``: it pins the layout of the
-version that wrote it.
+It prints each step that is new or whose status or hash moved. It never
+overwrites ``store.ndjson``: that file pins the layout of the version that
+wrote it.
 """
 
 from __future__ import annotations
