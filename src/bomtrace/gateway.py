@@ -41,7 +41,6 @@ from .model import Assembly, Bom, ComponentKind, ComponentRecord, ValidationRepo
 from .runtime import Bol, BolStatus, Observation, ShadowItem
 from .store import (
     KIND_ASSEMBLY,
-    KIND_BOL,
     KIND_BOM,
     KIND_COMPONENT,
     KIND_LEDGER_ENTRY,
@@ -66,12 +65,9 @@ class _Run:
 
     __slots__ = ("header", "observations")
 
-    def __init__(self, record: bytes):
-        doc = from_canonical(record)
-        self.header = Bol.from_dict({**doc, "shadow_items": {}})
-        self.observations: dict[str, list[Observation]] = {
-            cid: [] for cid in doc["shadow_items"]
-        }
+    def __init__(self, header: Bol, component_ids: Iterable[str]):
+        self.header = header
+        self.observations: dict[str, list[Observation]] = {cid: [] for cid in component_ids}
 
     def snapshot(self) -> Bol:
         return replace(
@@ -100,19 +96,14 @@ class Gateway:
         for kind in (KIND_COMPONENT, KIND_ASSEMBLY, KIND_BOM):
             for record in self.store.scan(kind):
                 self._hold(record)
-        # Observations are stored once, as ledger entries. A BoL's record
-        # gives its header (and, once sealed, a snapshot); the observations
-        # are replayed from the ledger, so inline copies in the records of
-        # open BoLs, which an older layout wrote, are never read.
+        # A BoL is stored only as its ledger entries, so each run is replayed
+        # from them; the BoL records that older layouts wrote are never read
         self._runs: dict[str, _Run] = {}
         # BoLs per BoM: a BoL's shadow items are the components of its
         # (frozen) BoM, so this answers which runs used a component
         self._bols_by_bom: dict[str, list[str]] = {}
-        for record in self.store.scan(KIND_BOL):
-            run = self._runs[record.key] = _Run(record.data)
-            self._bols_by_bom.setdefault(run.header.bom_id, []).append(record.key)
-        for record in self.store.scan(KIND_LEDGER_ENTRY):
-            self._replay(record.data)
+        for index, record in enumerate(self.store.scan(KIND_LEDGER_ENTRY)):
+            self._replay(index, record.data)
         entity_ids = itertools.chain(self._components, self._assemblies, self._boms, self._runs)
         self.ids = idmod.IdGenerator(
             deterministic=deterministic_ids,
@@ -132,29 +123,61 @@ class Gateway:
     def close(self) -> None:
         self.store.close()
 
-    def _replay(self, entry_record: bytes) -> None:
-        """Append the observation a stored ledger entry records, if it does.
+    def _replay(self, index: int, entry_record: bytes) -> None:
+        """Apply a stored ledger entry to the runs.
 
         A tampered ledger must still open so that ``verify_chain`` can report
-        it: an entry that does not name a shadow item of a known BoL, or whose
-        observation is malformed, is skipped. Observations take their index
-        from their position in ledger order.
+        it: an entry that does not decode, or that ``_apply`` refuses, is
+        skipped.
         """
         try:
             entry = from_canonical(entry_record)
-            if entry["entry_type"] != ledgermod.OBSERVATION_RECORDED:
-                return
-            doc = entry["payload"]
+            self._apply(entry["entry_type"], entry["payload"], index)
+        except (ValueError, KeyError, TypeError, RecursionError):
+            return
+
+    def _apply(self, entry_type: str, doc: Any, index: int) -> None:
+        """Update the runs from one committed ledger entry's decoded payload.
+
+        New entries and replayed ones both come through here. A payload that
+        names an unknown BoM, BoL or shadow item, or whose fields a run cannot
+        hold, raises KeyError, TypeError or ValueError. Observations take their
+        index from their position in ledger order.
+        """
+        if entry_type == ledgermod.BOL_CREATED:
+            header = Bol(
+                doc["bol_id"], doc["bom_id"], doc.get("run_label"), doc["created_at"],
+                BolStatus.OPEN,
+            )
+            if not isinstance(header.id, str) or type(header.created_at) is not int:
+                raise TypeError(f"ledger entry {index} is not a BoL header")
+            if header.id in self._runs:
+                raise ValueError(f"ledger entry {index} creates BoL {header.id} again")
+            # the BoM is frozen, so its components are those it had at creation
+            components = runtime.distinct_components(
+                self._assemblies[aid] for aid in self._boms[header.bom_id].assemblies
+            )
+            self._runs[header.id] = _Run(header, sorted(components))
+            self._bols_by_bom.setdefault(header.bom_id, []).append(header.id)
+        elif entry_type == ledgermod.OBSERVATION_RECORDED:
             observations = self._runs[doc["bol_id"]].observations[doc["component_id"]]
             observation = Observation.from_dict(doc)
-        except (ValueError, KeyError, TypeError):
-            return
-        if (
-            type(observation.recorded_at) is int
-            and isinstance(observation.payload, str)
-            and isinstance(observation.note, (str, type(None)))
-        ):
+            if not (
+                type(observation.recorded_at) is int
+                and isinstance(observation.payload, str)
+                and isinstance(observation.note, (str, type(None)))
+            ):
+                raise TypeError(f"ledger entry {index} is not an observation")
             observations.append(observation)
+        elif entry_type == ledgermod.BOL_SEALED:
+            run = self._runs[doc["bol_id"]]
+            # the anchor names the entry that seals the run
+            anchor = Anchor(run.header.id, doc["merkle_root"], doc["leaf_count"], index)
+            if not isinstance(anchor.merkle_root, str) or type(anchor.leaf_count) is not int:
+                raise TypeError(f"ledger entry {index} is not a seal")
+            if run.header.anchor is not None:
+                raise ValueError(f"ledger entry {index} seals BoL {run.header.id} again")
+            run.header = replace(run.header, status=BolStatus.SEALED, anchor=anchor)
 
     def _now(self, now: int | None) -> int:
         return self._clock() if now is None else now
@@ -372,17 +395,7 @@ class Gateway:
                 raise ValidationFailed(
                     "BoM failed validation", detail={"report": report.to_dict()}
                 )
-            components = runtime.distinct_components(
-                self._assemblies[aid] for aid in bom.assemblies
-            )
-            bol = Bol(
-                id=self.ids.new_id(idmod.BOL),
-                bom_id=bom_id,
-                run_label=run_label,
-                created_at=self._now(now),
-                status=BolStatus.OPEN,
-                shadow_items={cid: ShadowItem(component_id=cid) for cid in components},
-            )
+            bol_id = self.ids.new_id(idmod.BOL)
             freeze = []
             if not bom.frozen:
                 frozen = replace(bom, frozen=True)
@@ -394,23 +407,21 @@ class Gateway:
                         expected_revision=self.store.get(bom_id).revision,
                     )
                 )
-            header = canonical_bytes(bol.to_dict())
-            writes = [*freeze, WriteOp(bol.id, KIND_BOL, header, expected_revision=0)]
             payload: dict[str, Any] = {
-                "bol_id": bol.id,
+                "bol_id": bol_id,
                 "bom_id": bom_id,
-                "created_at": bol.created_at,
+                "created_at": self._now(now),
             }
             if run_label is not None:
                 payload["run_label"] = run_label
-            self.ledger.append_entry(
-                ledgermod.BOL_CREATED, canonical_bytes(payload), extra_writes=writes
+            created = canonical_bytes(payload)
+            entry = self.ledger.append_entry(
+                ledgermod.BOL_CREATED, created, extra_writes=freeze
             )
             for op in freeze:
                 self._hold(op)
-            run = self._runs[bol.id] = _Run(header)
-            self._bols_by_bom.setdefault(bom_id, []).append(bol.id)
-            return run.snapshot()
+            self._apply(ledgermod.BOL_CREATED, from_canonical(created), entry.index)
+            return self._runs[bol_id].snapshot()
 
     def resolve_access(self, bol_id: str, component_id: str) -> dict[str, str]:
         with self._lock:
@@ -440,8 +451,8 @@ class Gateway:
         now: int | None = None,
     ) -> tuple[Observation, int]:
         """Append an observation; also returns its index within the shadow item."""
-        if not isinstance(payload, str):
-            raise TypeError("observation payload must be a string")
+        if not isinstance(payload, str) or not isinstance(note, (str, type(None))):
+            raise TypeError("observation payload and note must be strings")
         with self._lock:
             run = self._require_run(bol_id)
             if run.header.status is BolStatus.SEALED:
@@ -464,43 +475,26 @@ class Gateway:
                 bol_id, component_id, index, Observation(recorded_at, payload, note)
             )
             # the ledger entry is the observation's only stored copy
-            self.ledger.append_entry(ledgermod.OBSERVATION_RECORDED, record_bytes)
+            entry = self.ledger.append_entry(ledgermod.OBSERVATION_RECORDED, record_bytes)
             # hold the stored (canonical) form, as a reopen would replay it
-            stored = Observation.from_dict(from_canonical(record_bytes))
-            observations.append(stored)
-            return stored, index
+            self._apply(ledgermod.OBSERVATION_RECORDED, from_canonical(record_bytes), entry.index)
+            return observations[-1], index
 
     def seal_bol(self, bol_id: str, now: int | None = None) -> Anchor:
         with self._lock:
             run = self._require_run(bol_id)
             if run.header.status is BolStatus.SEALED:
                 raise AlreadySealed(f"BoL {bol_id} is already sealed", detail={"id": bol_id})
-            bol = run.snapshot()
-            leaves = runtime.bol_leaves(bol)
-            anchor = ledgermod.compute_anchor(
-                bol_id, leaves, ledger_index=self.ledger.count
-            )
-            sealed = replace(bol, status=BolStatus.SEALED, anchor=anchor)
-            payload = {
+            leaves = runtime.bol_leaves(run.snapshot())
+            sealed = canonical_bytes({
                 "bol_id": bol_id,
-                "leaf_count": anchor.leaf_count,
-                "merkle_root": anchor.merkle_root,
+                "leaf_count": len(leaves),
+                "merkle_root": ledgermod.merkle_root(leaves),
                 "sealed_at": self._now(now),
-            }
-            self.ledger.append_entry(
-                ledgermod.BOL_SEALED,
-                canonical_bytes(payload),
-                extra_writes=[
-                    WriteOp(
-                        bol_id,
-                        KIND_BOL,
-                        canonical_bytes(sealed.to_dict()),
-                        expected_revision=self.store.get(bol_id).revision,
-                    )
-                ],
-            )
-            run.header = replace(run.header, status=BolStatus.SEALED, anchor=anchor)
-            return anchor
+            })
+            entry = self.ledger.append_entry(ledgermod.BOL_SEALED, sealed)
+            self._apply(ledgermod.BOL_SEALED, from_canonical(sealed), entry.index)
+            return run.header.anchor
 
     # -- lineage queries ------------------------------------------------------
 

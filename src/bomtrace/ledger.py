@@ -194,17 +194,6 @@ def verify_inclusion(leaf: bytes, proof: InclusionProof, root: str) -> bool:
     return digest.hex() == root
 
 
-def compute_anchor(
-    bol_id: str, leaves: Sequence[bytes], ledger_index: int
-) -> Anchor:
-    return Anchor(
-        bol_id=bol_id,
-        merkle_root=merkle_root(leaves),
-        leaf_count=len(leaves),
-        ledger_index=ledger_index,
-    )
-
-
 # -- chain verification ------------------------------------------------
 
 

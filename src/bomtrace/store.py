@@ -34,7 +34,6 @@ LOG_NAME = "store.ndjson"
 KIND_COMPONENT = "component"
 KIND_ASSEMBLY = "assembly"
 KIND_BOM = "bom"
-KIND_BOL = "bol"
 KIND_LEDGER_ENTRY = "ledger_entry"
 
 

@@ -20,6 +20,7 @@ from bomtrace.errors import AlreadySealed, BolSealed, BomFrozen
 from bomtrace.gateway import Gateway
 from bomtrace.ledger import inclusion_proof, merkle_root, verify_entries, verify_inclusion
 from bomtrace.runtime import bol_leaves
+from bomtrace.store import LOG_NAME
 from conftest import HPC_MANIFEST, build_hpc, build_two_stage_chain
 from graphutil import (
     global_graph,
@@ -220,7 +221,7 @@ def test_criterion_6_merkle_anchoring(gw):
           "mutations rejected, independent roots agree")
 
 
-def test_criterion_7_immutability_semantics(gw):
+def test_criterion_7_immutability_semantics(gw, tmp_path):
     sealed = []
     for _ in range(3):
         parts = build_hpc(gw)
@@ -229,10 +230,13 @@ def test_criterion_7_immutability_semantics(gw):
         gw.seal_bol(bol.id)
         sealed.append((parts, bol.id))
 
+    log = tmp_path / "data" / LOG_NAME
     failures = 0
     attempts = 0
     for parts, bol_id in sealed:
-        bol_before = gw.store.get(bol_id).data
+        log_before = log.read_bytes()
+        ledger_before = gw.export_ledger()
+        bol_before = dispatch(gw, "GET", f"/bols/{bol_id}")
         bom_before = gw.store.get(parts["bom"]).data
         for cid in (parts["scene"], parts["model"], parts["result"]):
             for payload in ("a", "b", "c", "d", "e", "f", "g", "h", "i", "j"):
@@ -246,10 +250,23 @@ def test_criterion_7_immutability_semantics(gw):
                        {"assembly_ids": []}, {"assembly_ids": [parts["assembly"]]}):
             with pytest.raises(BomFrozen):
                 gw.update_bom(parts["bom"], **kwargs)
-        assert gw.store.get(bol_id).data == bol_before
+        # nothing reached the store: not the ledger, not the BoM, no BoL record
+        assert log.read_bytes() == log_before
+        assert gw.export_ledger() == ledger_before
+        assert dispatch(gw, "GET", f"/bols/{bol_id}") == bol_before
         assert gw.store.get(parts["bom"]).data == bom_before
-        assert canonical_bytes(gw.get_bol(bol_id).to_dict()) == bol_before
+        assert canonical_bytes(gw.get_bol(bol_id).to_dict()) == bol_before[2]
+    assert gw.store.scan("bol") == []
     assert failures == attempts == 90
+    # the sealed runs replay from the ledger to the same bytes
+    reopened = Gateway(tmp_path / "data")
+    try:
+        for _, bol_id in sealed:
+            assert dispatch(reopened, "GET", f"/bols/{bol_id}") == dispatch(
+                gw, "GET", f"/bols/{bol_id}"
+            )
+    finally:
+        reopened.close()
     print(f"\n[PASS] criterion 7: {failures}/{attempts} mutations of sealed BoLs "
           "rejected, frozen BoMs rejected all edits, stored bytes unchanged")
 

@@ -1,8 +1,9 @@
-"""Observations are stored once, as ledger entries.
+"""A BoL is stored only as its ledger entries.
 
-A write appends one ``observation_recorded`` entry and leaves the BoL record
-alone; the gateway keeps each BoL's observations in memory and rebuilds them
-from the ledger when it opens a directory.
+Instantiating appends a ``bol_created`` entry, each write one
+``observation_recorded`` entry and sealing one ``bol_sealed`` entry; no BoL
+record is written. The gateway keeps each run in memory and replays it from
+the ledger when it opens a directory.
 """
 
 import json
@@ -14,7 +15,7 @@ import pytest
 from bomtrace.api import dispatch
 from bomtrace.canonical import canonical_bytes
 from bomtrace.gateway import Gateway
-from bomtrace.ledger import OBSERVATION_RECORDED
+from bomtrace.ledger import BOL_CREATED, BOL_SEALED, OBSERVATION_RECORDED
 from bomtrace.runtime import Bol, Observation
 from bomtrace.store import LOG_NAME, Store
 from conftest import FIXED_NOW, build_hpc
@@ -49,17 +50,39 @@ def test_write_cost_is_flat_and_decodes_no_bol(tmp_path, monkeypatch):
     assert growth[299] < 1024
 
 
-def test_bol_record_is_not_rewritten_by_observations(gw):
+def _last_writes(log):
+    """(key, kind) of each write in the log's last transaction."""
+    line = log.read_bytes().splitlines()[-1]
+    return [(write["key"], write["kind"]) for write in json.loads(line)["writes"]]
+
+
+def test_bol_is_stored_only_as_ledger_entries(gw, tmp_path):
+    log = tmp_path / "data" / LOG_NAME
     parts = build_hpc(gw)
     bol = gw.instantiate_bol(parts["bom"])
-    header = gw.store.get(bol.id)
+    # instantiate commits its entry, plus the BoM freeze the first time
+    assert _last_writes(log) == [(parts["bom"], "bom"), (f"le_{0:016d}", "ledger_entry")]
+    other = gw.instantiate_bol(parts["bom"])
+    assert _last_writes(log) == [(f"le_{1:016d}", "ledger_entry")]
     for i in range(5):
         gw.record_observation(bol.id, parts["scene"], f"frame {i}")
-    assert gw.store.get(bol.id) == header
+        assert _last_writes(log) == [(f"le_{2 + i:016d}", "ledger_entry")]
     gw.seal_bol(bol.id)
-    sealed = gw.store.get(bol.id)
-    assert sealed.revision == header.revision + 1
-    assert sealed.data == canonical_bytes(gw.get_bol(bol.id).to_dict())
+    # the seal commits only its entry
+    assert _last_writes(log) == [(f"le_{7:016d}", "ledger_entry")]
+    assert gw.get_bol(bol.id).anchor.ledger_index == 7
+    assert gw.store.scan("bol") == []
+    assert not gw.store.exists(bol.id) and not gw.store.exists(other.id)
+    _, _, sealed = dispatch(gw, "GET", f"/bols/{bol.id}")
+    assert sealed == canonical_bytes(gw.get_bol(bol.id).to_dict())
+    _, _, still_open = dispatch(gw, "GET", f"/bols/{other.id}")
+
+    reopened = open_gateway(tmp_path / "data")
+    try:
+        assert dispatch(reopened, "GET", f"/bols/{bol.id}")[2] == sealed
+        assert dispatch(reopened, "GET", f"/bols/{other.id}")[2] == still_open
+    finally:
+        reopened.close()
 
 
 def _observation_entry_keys(path):
@@ -99,6 +122,43 @@ def test_tampered_observation_entry_still_opens(tmp_path, field, value):
         assert reopened.verify_chain() == (False, bad_index)
         status, _, _ = dispatch(reopened, "GET", f"/bols/{bol.id}")
         assert status == 200
+    finally:
+        reopened.close()
+
+
+@pytest.mark.parametrize(
+    "entry_type, field, value, status, bol_status",
+    [
+        (BOL_CREATED, "bom_id", "bom_" + "e" * 32, 404, None),  # a BoM the directory lacks
+        (BOL_CREATED, "created_at", "noon", 404, None),  # not an integer
+        (BOL_SEALED, "bol_id", "bol_" + "e" * 32, 200, "open"),  # a BoL the directory lacks
+        (BOL_SEALED, "leaf_count", [1], 200, "open"),  # not an integer
+    ],
+)
+def test_tampered_bol_entry_still_opens(tmp_path, entry_type, field, value, status, bol_status):
+    gw = open_gateway(tmp_path)
+    parts = build_hpc(gw)
+    bol = gw.instantiate_bol(parts["bom"])
+    gw.record_observation(bol.id, parts["result"], "reading 0")
+    gw.seal_bol(bol.id)
+    gw.close()
+    with Store(tmp_path) as store:
+        (record,) = [
+            record for record in store.scan("ledger_entry")
+            if json.loads(record.data)["entry_type"] == entry_type
+        ]
+        doc = json.loads(record.data)
+        doc["payload"][field] = value
+        store.put(record.key, record.kind, canonical_bytes(doc))
+    bad_index = int(record.key.split("_")[1])
+
+    reopened = Gateway(tmp_path)
+    try:
+        assert reopened.verify_chain() == (False, bad_index)
+        got, _, data = dispatch(reopened, "GET", f"/bols/{bol.id}")
+        assert got == status
+        if bol_status is not None:
+            assert json.loads(data)["status"] == bol_status
     finally:
         reopened.close()
 

@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+from bomtrace.api import dispatch
 from bomtrace.canonical import canonical_bytes
 from bomtrace.errors import (
     AlreadySealed,
@@ -18,6 +19,7 @@ from bomtrace.ledger import (
     verify_inclusion,
 )
 from bomtrace.runtime import BolStatus, bol_header_bytes, bol_leaves, observation_record_bytes
+from bomtrace.store import LOG_NAME
 from conftest import build_hpc, build_two_stage_chain
 from graphutil import random_ecosystem
 
@@ -238,17 +240,23 @@ def test_inclusion_proof_requires_sealed_bol(gw):
         gw.inclusion_proof(bol.id, 0)
 
 
-def test_sealed_bol_bytes_unchanged_by_rejected_mutations(gw):
+def test_sealed_bol_bytes_unchanged_by_rejected_mutations(gw, tmp_path):
     parts = build_hpc(gw)
     bol = gw.instantiate_bol(parts["bom"])
     gw.record_observation(bol.id, parts["result"], "final")
     gw.seal_bol(bol.id)
-    before = gw.store.get(bol.id).data
+    log = tmp_path / "data" / LOG_NAME
+    log_before = log.read_bytes()
+    ledger_before = gw.export_ledger()
+    status, _, before = dispatch(gw, "GET", f"/bols/{bol.id}")
+    assert status == 200
     with pytest.raises(BolSealed):
         gw.record_observation(bol.id, parts["result"], "tamper")
     with pytest.raises(AlreadySealed):
         gw.seal_bol(bol.id)
-    assert gw.store.get(bol.id).data == before
+    assert log.read_bytes() == log_before
+    assert gw.export_ledger() == ledger_before
+    assert dispatch(gw, "GET", f"/bols/{bol.id}")[2] == before
     assert canonical_bytes(gw.get_bol(bol.id).to_dict()) == before
 
 
