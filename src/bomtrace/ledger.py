@@ -75,6 +75,26 @@ class LedgerEntry:
             entry_hash=doc["entry_hash"],
         )
 
+    @classmethod
+    def chained(
+        cls, index: int, prev_hash: str, entry_type: str, payload: bytes
+    ) -> "LedgerEntry":
+        """The entry that records canonical ``payload`` at ``index`` after ``prev_hash``."""
+        payload_hash = _sha256_hex(payload)
+        entry_hash = entry_hash_hex(index, prev_hash, entry_type, payload_hash)
+        return cls(index, prev_hash, entry_type, payload, payload_hash, entry_hash)
+
+    def record(self) -> bytes:
+        """The stored record: ``canonical_bytes(self.to_dict())``, built around
+        the payload's bytes instead of decoding and re-encoding them (the
+        keys are in canonical order, and no other value needs escaping)."""
+        return b"".join((
+            f'{{"entry_hash":"{self.entry_hash}","entry_type":"{self.entry_type}",'
+            f'"index":{self.index},"payload":'.encode(),
+            self.payload,
+            f',"payload_hash":"{self.payload_hash}","prev_hash":"{self.prev_hash}"}}'.encode(),
+        ))
+
 
 @dataclass(frozen=True)
 class Anchor:
@@ -241,7 +261,7 @@ class Ledger:
                 self._last_hash = LedgerEntry.from_dict(
                     from_canonical(records[-1].data)
                 ).entry_hash
-            except (ValueError, KeyError, TypeError) as exc:
+            except (ValueError, KeyError, TypeError, RecursionError) as exc:
                 self._broken = f"ledger entry {len(records) - 1} does not decode: {exc!r}"
 
     def append_entry(
@@ -257,26 +277,13 @@ class Ledger:
         # payloads must already be canonical bytes
         if canonical_bytes(from_canonical(payload)) != payload:
             raise ValueError("ledger payload is not canonical JSON")
-        index = self._count
-        payload_hash = _sha256_hex(payload)
-        entry = LedgerEntry(
-            index=index,
-            prev_hash=self._last_hash,
-            entry_type=entry_type,
-            payload=payload,
-            payload_hash=payload_hash,
-            entry_hash=entry_hash_hex(index, self._last_hash, entry_type, payload_hash),
-        )
-        writes = list(extra_writes) + [
-            WriteOp(
-                key=_entry_key(index),
-                kind=KIND_LEDGER_ENTRY,
-                data=canonical_bytes(entry.to_dict()),
-                expected_revision=0,
-            )
+        entry = LedgerEntry.chained(self._count, self._last_hash, entry_type, payload)
+        writes = [
+            *extra_writes,
+            WriteOp(_entry_key(entry.index), KIND_LEDGER_ENTRY, entry.record(), 0),
         ]
         self._store.put_many(writes)
-        self._count = index + 1
+        self._count = entry.index + 1
         self._last_hash = entry.entry_hash
         return entry
 
@@ -287,16 +294,29 @@ class Ledger:
         return out
 
     def verify_chain(self) -> tuple[bool, int | None]:
-        """Audit the stored chain; tolerates undecodable records by flagging them."""
-        records = self._store.scan(KIND_LEDGER_ENTRY)
-        entries: list[LedgerEntry] = []
-        for pos, record in enumerate(records):
+        """Audit the stored chain; returns (ok, first bad index).
+
+        Each record must be exactly the canonical record of the entry that
+        chains its type and payload after the record before it. That also
+        catches a record that decodes to the right values but is not its own
+        canonical encoding, and one whose fields are not of the types the
+        chain rule needs.
+        """
+        prev = GENESIS_HASH
+        for pos, record in enumerate(self._store.scan(KIND_LEDGER_ENTRY)):
             try:
-                entries.append(LedgerEntry.from_dict(from_canonical(record.data)))
-            except Exception:
-                entries_ok, bad = verify_entries(entries)
-                return False, bad if not entries_ok else pos
-        return verify_entries(entries)
+                doc = from_canonical(record.data)
+                if doc["entry_type"] not in ENTRY_TYPES:
+                    return False, pos
+                expected = LedgerEntry.chained(
+                    pos, prev, doc["entry_type"], canonical_bytes(doc["payload"])
+                )
+            except (ValueError, KeyError, TypeError, RecursionError):
+                return False, pos
+            if record.data != expected.record():
+                return False, pos
+            prev = expected.entry_hash
+        return True, None
 
     def export(self) -> bytes:
         """Newline-delimited canonical JSON, one entry per line, index order.

@@ -6,8 +6,10 @@ import subprocess
 
 import pytest
 
+from bomtrace.api import dispatch
 from bomtrace.canonical import canonical_bytes
 from bomtrace.errors import MalformedProof
+from bomtrace.gateway import Gateway
 from bomtrace.ledger import (
     BOL_CREATED,
     GENESIS_HASH,
@@ -121,6 +123,44 @@ def test_tampered_file_detected_after_reopen(tmp_path):
         doc["payload"]["n"] = 400
         store.put(record.key, record.kind, canonical_bytes(doc))
         assert Ledger(store).verify_chain() == (False, 4)
+
+
+@pytest.mark.parametrize(
+    "rewrite",
+    [
+        # the same values, pretty-printed: export would emit them as they are
+        lambda doc: json.dumps(doc, indent=2, sort_keys=True).encode(),
+        # an entry type the chain rule cannot hash as ASCII
+        lambda doc: canonical_bytes({**doc, "entry_type": "bol_cr\u00e9ated"}),
+        # an index of the wrong type, though equal to 1 in Python
+        lambda doc: canonical_bytes({**doc, "index": True}),
+    ],
+    ids=["pretty_printed", "non_ascii_entry_type", "bool_index"],
+)
+def test_record_that_is_not_its_canonical_entry_is_detected(tmp_path, rewrite):
+    with Store(tmp_path) as store:
+        ledger = Ledger(store)
+        for i in range(3):
+            ledger.append_entry(BOL_CREATED, _payload(i))
+        record = store.get(f"le_{1:016d}")
+        store.put(record.key, record.kind, rewrite(json.loads(record.data)))
+        assert Ledger(store).verify_chain() == (False, 1)
+    gateway = Gateway(tmp_path)
+    try:
+        status, _, body = dispatch(gateway, "GET", "/ledger/verify")
+    finally:
+        gateway.close()
+    assert (status, json.loads(body)) == (200, {"ok": False, "first_bad_index": 1})
+
+
+def test_stored_record_is_the_canonical_entry(store):
+    ledger = Ledger(store)
+    payloads = [{}, {"n": 1}, {"text": "\u00e9 \u4e2d \"q\"", "nested": {"b": [1, {"a": None}]}}]
+    for payload in payloads:
+        entry = ledger.append_entry(OBSERVATION_RECORDED, canonical_bytes(payload))
+        record = store.get(f"le_{entry.index:016d}").data
+        assert record == entry.record() == canonical_bytes(entry.to_dict())
+    assert ledger.verify_chain() == (True, None)
 
 
 def test_mutating_any_field_is_detected(store):

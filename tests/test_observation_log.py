@@ -250,3 +250,26 @@ def test_undecodable_last_entry_refuses_appends(tmp_path):
         assert status == 200
     finally:
         reopened.close()
+
+
+@pytest.mark.parametrize("position", ["middle", "last"])
+def test_entry_nested_past_the_parser_limit_still_opens(tmp_path, position):
+    gw = open_gateway(tmp_path)
+    parts = build_hpc(gw)
+    bol = gw.instantiate_bol(parts["bom"])
+    for i in range(3):
+        gw.record_observation(bol.id, parts["result"], f"reading {i}")
+    bad_index = 1 if position == "middle" else gw.ledger.count - 1
+    gw.close()
+    with Store(tmp_path) as store:
+        store.put(f"le_{bad_index:016d}", "ledger_entry", b"[" * 100_000 + b"]" * 100_000)
+
+    reopened = open_gateway(tmp_path)
+    try:
+        assert reopened.verify_chain() == (False, bad_index)
+        status, _, data = dispatch(reopened, "GET", f"/bols/{bol.id}")
+        assert status == 200
+        observations = json.loads(data)["shadow_items"][parts["result"]]["observations"]
+        assert len(observations) == 2
+    finally:
+        reopened.close()
