@@ -596,6 +596,8 @@ def dispatch(
 ) -> tuple[int, str, bytes]:
     """Route one request; returns (status, content type, body bytes)."""
     try:
+        if isinstance(query, str):
+            query = dict(parse_qsl(query, errors="surrogateescape"))
         if not _is_text([method, path, query]):
             raise MalformedBody("request path or query is not valid UTF-8")
         if body and len(body) > MAX_BODY_BYTES:
@@ -604,9 +606,6 @@ def dispatch(
             if not path.startswith(base_path):
                 raise UnknownRoute(f"no route for {method} {path}")
             path = path[len(base_path):] or "/"
-
-        if isinstance(query, str):
-            query = dict(parse_qsl(query))
 
         route, params, path_known = _match(method, path)
         if route is None:

@@ -14,6 +14,7 @@ import json
 import sys
 import urllib.error
 import urllib.request
+from urllib.parse import quote, urlencode
 from pathlib import Path
 from typing import Any
 
@@ -45,7 +46,7 @@ class EmbeddedClient:
         self.gateway = Gateway(data_dir, deterministic_ids=deterministic_ids)
 
     def request(
-        self, method: str, path: str, query: str = "", body: dict | None = None
+        self, method: str, path: str, query: dict[str, str], body: dict | None = None
     ) -> tuple[int, bytes]:
         payload = json.dumps(body).encode("utf-8") if body is not None else None
         status, _ctype, data = dispatch(self.gateway, method, path, query, payload)
@@ -60,9 +61,13 @@ class HttpClient:
         self.base_url = base_url.rstrip("/")
 
     def request(
-        self, method: str, path: str, query: str = "", body: dict | None = None
+        self, method: str, path: str, query: dict[str, str], body: dict | None = None
     ) -> tuple[int, bytes]:
-        url = self.base_url + path + (f"?{query}" if query else "")
+        # percent-encode the UTF-8 bytes, and the raw bytes of a non-UTF-8
+        # argument (a lone surrogate), which the server decodes back
+        url = self.base_url + quote(path, errors="surrogateescape")
+        if query:
+            url += "?" + urlencode(query, errors="surrogateescape")
         payload = json.dumps(body).encode("utf-8") if body is not None else None
         request = urllib.request.Request(
             url, data=payload, method=method,
@@ -240,10 +245,12 @@ def _command_name(args: argparse.Namespace) -> str:
     return f"{args.group} {action}" if action else args.group
 
 
-def _build_request(command: str, args: argparse.Namespace) -> tuple[str, str, str, dict | None]:
+def _build_request(
+    command: str, args: argparse.Namespace
+) -> tuple[str, str, dict[str, str], dict | None]:
     method, template = ENDPOINTS[command]
     path = template.replace("{id}", getattr(args, "id", ""))
-    query = ""
+    query: dict[str, str] = {}
     body: dict | None = None
     if command == "bom define":
         body = json.loads(Path(args.file).read_text(encoding="utf-8"))
@@ -256,7 +263,7 @@ def _build_request(command: str, args: argparse.Namespace) -> tuple[str, str, st
     elif command == "bol seal":
         body = {}
     elif command in ("trace", "track"):
-        query = f"scope={args.scope}"
+        query = {"scope": args.scope}
     return method, path, query, body
 
 

@@ -10,7 +10,7 @@ import argparse
 import logging
 import os
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
-from urllib.parse import urlsplit
+from urllib.parse import unquote, urlsplit
 
 from .api import MAX_BODY_BYTES, dispatch, error_response
 from .errors import BodyTooLarge, MalformedBody
@@ -45,7 +45,9 @@ class _Handler(BaseHTTPRequestHandler):
         self._reply(*dispatch(
             self.server.gateway,
             method,
-            parts.path,
+            # a %-escape that is not UTF-8 becomes a lone surrogate, which
+            # dispatch refuses as it does a non-UTF-8 argument from the CLI
+            unquote(parts.path, errors="surrogateescape"),
             parts.query,
             body,
             base_path=self.server.base_path,

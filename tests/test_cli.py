@@ -205,6 +205,34 @@ def test_server_mode_round_trip(workdir, capsys):
         gateway.close()
 
 
+def test_server_and_embedded_answer_ids_that_are_not_ascii_alike(workdir, capsys):
+    _, _, by_name, _ = _scripted_run(workdir, capsys)
+    result = by_name["Result"]
+    # Python hands a non-UTF-8 argv byte over as a lone surrogate
+    not_utf8 = b"bom_\xff".decode("utf-8", "surrogateescape")
+    cases = [
+        (["bom", "show", "bom_\u00e9"], "UNKNOWN_BOM"),
+        (["trace", result, "--scope", "bom_\u00e9"], "UNKNOWN_BOM"),
+        (["bom", "show", not_utf8], "MALFORMED_BODY"),
+        (["trace", result, "--scope", not_utf8], "MALFORMED_BODY"),
+    ]
+    gateway = Gateway(workdir / "data")
+    server = ApiServer(gateway, host="127.0.0.1", port=0)
+    thread = threading.Thread(target=server.serve_forever, daemon=True)
+    thread.start()
+    try:
+        url = f"http://127.0.0.1:{server.server_address[1]}"
+        for argv, code in cases:
+            embedded = run_cli(workdir, *argv, capsys=capsys)
+            assert embedded[:2] == (1, "") and embedded[2].startswith(f"error[{code}]:"), argv
+            served = main(["--server", url, *argv]), *capsys.readouterr()
+            assert served == embedded, argv
+    finally:
+        server.shutdown()
+        server.server_close()
+        gateway.close()
+
+
 def test_server_config_from_environment(monkeypatch, tmp_path):
     from bomtrace.server import build_parser
 
