@@ -253,7 +253,7 @@ ROUTES: tuple[Route, ...] = (
          "metadata": "map[string,string]|array[[string,string]]?"},
         {"request_id": "string", "component": "object"},
         None,
-        ("MALFORMED_BODY", "EMPTY_NAME", "DUPLICATE_METADATA_KEY"),
+        ("EMPTY_NAME", "DUPLICATE_METADATA_KEY"),
     ),
     Route(
         "GET", "/components/{id}", "get_component",
@@ -295,7 +295,7 @@ ROUTES: tuple[Route, ...] = (
          "outputData": "array[string]?", "outputArtifacts": "array[string]?"},
         {"request_id": "string", "assembly": "object"},
         None,
-        ("MALFORMED_BODY", "EMPTY_NAME", "DANGLING_REF", "KIND_MISMATCH",
+        ("EMPTY_NAME", "DANGLING_REF", "KIND_MISMATCH",
          "INPUT_OUTPUT_OVERLAP", "DUPLICATE_MEMBERSHIP"),
     ),
     Route(
@@ -316,7 +316,7 @@ ROUTES: tuple[Route, ...] = (
          "components": "array[object]?", "assemblies": "array[object|string]?"},
         {"request_id": "string", "bom": "object (nested detail)"},
         None,
-        ("MALFORMED_BODY", "EMPTY_NAME", "DUPLICATE_METADATA_KEY", "DANGLING_REF",
+        ("EMPTY_NAME", "DUPLICATE_METADATA_KEY", "DANGLING_REF",
          "KIND_MISMATCH", "INPUT_OUTPUT_OVERLAP", "DUPLICATE_MEMBERSHIP",
          "VALIDATION_FAILED"),
     ),
@@ -337,7 +337,7 @@ ROUTES: tuple[Route, ...] = (
          "assemblies": "array[string]?", "expected_revision": "int?"},
         {"request_id": "string", "bom": "object (nested detail)"},
         None,
-        ("MALFORMED_BODY", "UNKNOWN_BOM", "BOM_FROZEN", "EMPTY_NAME", "DANGLING_REF",
+        ("UNKNOWN_BOM", "BOM_FROZEN", "EMPTY_NAME", "DANGLING_REF",
          "VALIDATION_FAILED", "REVISION_CONFLICT"),
     ),
     Route(
@@ -384,7 +384,7 @@ ROUTES: tuple[Route, ...] = (
         {"request_id": "string", "bol_id": "string", "component_id": "string",
          "observation_index": "int", "observation": "object"},
         None,
-        ("MALFORMED_BODY", "UNKNOWN_BOL", "COMPONENT_NOT_IN_BOM", "BOL_SEALED"),
+        ("UNKNOWN_BOL", "COMPONENT_NOT_IN_BOM", "BOL_SEALED"),
     ),
     Route(
         "POST", "/bols/{id}/seal", "seal_bol",
@@ -409,7 +409,7 @@ ROUTES: tuple[Route, ...] = (
         _inclusion_proof, False, 200, None,
         {"leaf_b64": "string", "merkle_root": "string", "proof": "object"},
         None,
-        ("UNKNOWN_BOL", "BOL_NOT_SEALED", "UNKNOWN_ID", "MALFORMED_BODY"),
+        ("UNKNOWN_BOL", "BOL_NOT_SEALED", "UNKNOWN_ID"),
     ),
     Route(
         "POST", "/ledger/verify-inclusion", "verify_inclusion",
@@ -418,7 +418,7 @@ ROUTES: tuple[Route, ...] = (
         {"leaf_b64": "string", "proof": "object", "merkle_root": "string"},
         {"included": "bool"},
         None,
-        ("MALFORMED_BODY", "MALFORMED_PROOF"),
+        ("MALFORMED_PROOF",),
     ),
     Route(
         "GET", "/ledger/verify", "verify_ledger",
