@@ -14,9 +14,9 @@ import json
 import sys
 import urllib.error
 import urllib.request
-from urllib.parse import quote, urlencode
 from pathlib import Path
 from typing import Any
+from urllib.parse import quote, urlencode
 
 from .api import JSON_TYPE, dispatch
 from .gateway import Gateway

@@ -85,9 +85,13 @@ class LedgerEntry:
         return cls(index, prev_hash, entry_type, payload, payload_hash, entry_hash)
 
     def record(self) -> bytes:
-        """The stored record: ``canonical_bytes(self.to_dict())``, built around
-        the payload's bytes instead of decoding and re-encoding them (the
-        keys are in canonical order, and no other value needs escaping)."""
+        """The stored record, equal to ``canonical_bytes(self.to_dict())``.
+
+        It is built around the payload's canonical bytes instead of decoding
+        and re-encoding them: the keys are written in canonical order, and the
+        other values (an index, hex digests and one of ``ENTRY_TYPES``) need
+        no escaping.
+        """
         return b"".join((
             f'{{"entry_hash":"{self.entry_hash}","entry_type":"{self.entry_type}",'
             f'"index":{self.index},"payload":'.encode(),
