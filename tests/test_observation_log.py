@@ -127,15 +127,15 @@ def test_tampered_observation_entry_still_opens(tmp_path, field, value):
 
 
 @pytest.mark.parametrize(
-    "entry_type, field, value, status, bol_status",
+    "entry_type, field, value",
     [
-        (BOL_CREATED, "bom_id", "bom_" + "e" * 32, 404, None),  # a BoM the directory lacks
-        (BOL_CREATED, "created_at", "noon", 404, None),  # not an integer
-        (BOL_SEALED, "bol_id", "bol_" + "e" * 32, 200, "open"),  # a BoL the directory lacks
-        (BOL_SEALED, "leaf_count", [1], 200, "open"),  # not an integer
+        (BOL_CREATED, "bom_id", "bom_" + "e" * 32),  # a BoM the directory lacks
+        (BOL_CREATED, "created_at", "noon"),  # not an integer
+        (BOL_SEALED, "bol_id", "bol_" + "e" * 32),  # a BoL the directory lacks
+        (BOL_SEALED, "leaf_count", [1]),  # not an integer
     ],
 )
-def test_tampered_bol_entry_still_opens(tmp_path, entry_type, field, value, status, bol_status):
+def test_tampered_bol_entry_still_opens(tmp_path, entry_type, field, value):
     gw = open_gateway(tmp_path)
     parts = build_hpc(gw)
     bol = gw.instantiate_bol(parts["bom"])
@@ -155,10 +155,12 @@ def test_tampered_bol_entry_still_opens(tmp_path, entry_type, field, value, stat
     reopened = Gateway(tmp_path)
     try:
         assert reopened.verify_chain() == (False, bad_index)
-        got, _, data = dispatch(reopened, "GET", f"/bols/{bol.id}")
-        assert got == status
-        if bol_status is not None:
-            assert json.loads(data)["status"] == bol_status
+        status, _, data = dispatch(reopened, "GET", f"/bols/{bol.id}")
+        if entry_type == BOL_CREATED:
+            # the run is skipped, and so are its observation and seal
+            assert status == 404
+        else:
+            assert (status, json.loads(data)["status"]) == (200, "open")
     finally:
         reopened.close()
 
