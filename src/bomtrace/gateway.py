@@ -60,14 +60,25 @@ class _Run:
     """One BoL in memory: its header and its observations per shadow item.
 
     ``header`` carries the id, BoM, label, status and anchor, with no shadow
-    items; the observations are appended in place, in ledger order.
+    items; the observations are appended in place, in ledger order. ``tree``
+    holds the anchor leaves and the Merkle levels over them, built on first
+    use; ``Gateway._apply`` drops it whenever an observation is added, so it
+    always covers the observations held.
     """
 
-    __slots__ = ("header", "observations")
+    __slots__ = ("header", "observations", "tree")
 
     def __init__(self, header: Bol, component_ids: Iterable[str]):
         self.header = header
         self.observations: dict[str, list[Observation]] = {cid: [] for cid in component_ids}
+        self.tree: tuple[list[bytes], list[list[bytes]]] | None = None
+
+    def merkle_tree(self) -> tuple[list[bytes], list[list[bytes]]]:
+        """The anchor leaves and every Merkle level over them, built once."""
+        if self.tree is None:
+            leaves = runtime.bol_leaves(self.snapshot())
+            self.tree = (leaves, ledgermod.merkle_levels(leaves))
+        return self.tree
 
     def snapshot(self) -> Bol:
         return replace(
@@ -102,9 +113,13 @@ class Gateway:
         # BoLs per BoM: a BoL's shadow items are the components of its
         # (frozen) BoM, so this answers which runs used a component
         self._bols_by_bom: dict[str, list[str]] = {}
-        for index, record in enumerate(self.store.scan(KIND_LEDGER_ENTRY)):
+        bol_ids = [
             self._replay(index, record.data)
-        entity_ids = itertools.chain(self._components, self._assemblies, self._boms, self._runs)
+            for index, record in enumerate(self.store.scan(KIND_LEDGER_ENTRY))
+        ]
+        entity_ids = itertools.chain(
+            self._components, self._assemblies, self._boms, filter(None, bol_ids)
+        )
         self.ids = idmod.IdGenerator(
             deterministic=deterministic_ids,
             start=idmod.next_counter(entity_ids) if deterministic_ids else 1,
@@ -123,18 +138,22 @@ class Gateway:
     def close(self) -> None:
         self.store.close()
 
-    def _replay(self, index: int, entry_record: bytes) -> None:
-        """Apply a stored ledger entry to the runs.
+    def _replay(self, index: int, entry_record: bytes) -> str | None:
+        """Apply a stored ledger entry to the runs; return the BoL id it names.
 
         A tampered ledger must still open so that ``verify_chain`` can report
         it: an entry that does not decode, or that ``_apply`` refuses, is
-        skipped.
+        skipped. Its BoL id is returned all the same, so that no deterministic
+        id names that BoL again.
         """
+        bol_id = None
         try:
             entry = from_canonical(entry_record)
+            bol_id = entry["payload"]["bol_id"]
             self._apply(entry["entry_type"], entry["payload"], index)
         except (ValueError, KeyError, TypeError, RecursionError):
-            return
+            pass
+        return bol_id if isinstance(bol_id, str) else None
 
     def _apply(self, entry_type: str, doc: Any, index: int) -> None:
         """Update the runs from one committed ledger entry's decoded payload.
@@ -160,7 +179,8 @@ class Gateway:
             self._runs[header.id] = _Run(header, sorted(components))
             self._bols_by_bom.setdefault(header.bom_id, []).append(header.id)
         elif entry_type == ledgermod.OBSERVATION_RECORDED:
-            observations = self._runs[doc["bol_id"]].observations[doc["component_id"]]
+            run = self._runs[doc["bol_id"]]
+            observations = run.observations[doc["component_id"]]
             observation = Observation.from_dict(doc)
             if not (
                 type(observation.recorded_at) is int
@@ -169,6 +189,7 @@ class Gateway:
             ):
                 raise TypeError(f"ledger entry {index} is not an observation")
             observations.append(observation)
+            run.tree = None
         elif entry_type == ledgermod.BOL_SEALED:
             run = self._runs[doc["bol_id"]]
             # the anchor names the entry that seals the run
@@ -485,11 +506,11 @@ class Gateway:
             run = self._require_run(bol_id)
             if run.header.status is BolStatus.SEALED:
                 raise AlreadySealed(f"BoL {bol_id} is already sealed", detail={"id": bol_id})
-            leaves = runtime.bol_leaves(run.snapshot())
+            leaves, levels = run.merkle_tree()
             sealed = canonical_bytes({
                 "bol_id": bol_id,
                 "leaf_count": len(leaves),
-                "merkle_root": ledgermod.merkle_root(leaves),
+                "merkle_root": levels[-1][0].hex(),
                 "sealed_at": self._now(now),
             })
             entry = self.ledger.append_entry(ledgermod.BOL_SEALED, sealed)
@@ -580,17 +601,17 @@ class Gateway:
     def inclusion_proof(self, bol_id: str, leaf_index: int) -> tuple[bytes, InclusionProof]:
         """Leaf bytes and proof for one leaf of a sealed BoL's anchor tree."""
         with self._lock:
-            bol = self._require_bol(bol_id)
-            if bol.status is not BolStatus.SEALED or bol.anchor is None:
+            run = self._require_run(bol_id)
+            if run.header.status is not BolStatus.SEALED or run.header.anchor is None:
                 raise BolNotSealed(
                     f"BoL {bol_id} is not sealed; it has no anchor yet",
                     detail={"id": bol_id},
                 )
-            leaves = runtime.bol_leaves(bol)
+            leaves, levels = run.merkle_tree()
             if not 0 <= leaf_index < len(leaves):
                 raise UnknownId(
                     f"leaf index {leaf_index} out of range for BoL {bol_id} "
                     f"({len(leaves)} leaves)",
                     detail={"id": bol_id, "leaf_index": leaf_index},
                 )
-            return leaves[leaf_index], ledgermod.inclusion_proof(leaves, leaf_index)
+            return leaves[leaf_index], ledgermod.inclusion_proof(levels, leaf_index)

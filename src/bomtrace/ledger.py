@@ -163,33 +163,33 @@ def _next_level(level: list[bytes]) -> list[bytes]:
     return nxt
 
 
-def merkle_root(leaves: Sequence[bytes]) -> str:
-    """Root over leaf byte strings, hex-encoded."""
+def merkle_levels(leaves: Sequence[bytes]) -> list[list[bytes]]:
+    """Every level of the tree over leaf byte strings: leaf digests first, root last."""
     if not leaves:
         raise ValueError("merkle tree needs at least one leaf")
-    level = [leaf_digest(data) for data in leaves]
-    while len(level) > 1:
-        level = _next_level(level)
-    return level[0].hex()
+    levels = [[leaf_digest(data) for data in leaves]]
+    while len(levels[-1]) > 1:
+        levels.append(_next_level(levels[-1]))
+    return levels
 
 
-def inclusion_proof(leaves: Sequence[bytes], leaf_index: int) -> InclusionProof:
-    if not 0 <= leaf_index < len(leaves):
-        raise ValueError(f"leaf index {leaf_index} out of range (0..{len(leaves) - 1})")
-    level = [leaf_digest(data) for data in leaves]
+def merkle_root(leaves: Sequence[bytes]) -> str:
+    """Root over leaf byte strings, hex-encoded."""
+    return merkle_levels(leaves)[-1][0].hex()
+
+
+def inclusion_proof(levels: Sequence[Sequence[bytes]], leaf_index: int) -> InclusionProof:
+    """The audit path of one leaf, read from the levels ``merkle_levels`` built."""
+    if not 0 <= leaf_index < len(levels[0]):
+        raise ValueError(f"leaf index {leaf_index} out of range (0..{len(levels[0]) - 1})")
     idx = leaf_index
     siblings: list[tuple[str, str]] = []
-    while len(level) > 1:
-        odd = len(level) % 2 == 1
-        if odd and idx == len(level) - 1:
-            # carried up unchanged; no sibling at this level
-            idx = len(level) // 2
-        else:
-            sibling = idx ^ 1
-            side = "left" if sibling < idx else "right"
-            siblings.append((level[sibling].hex(), side))
-            idx = idx // 2
-        level = _next_level(level)
+    for level in levels[:-1]:
+        sibling = idx ^ 1
+        # an unpaired last node has no sibling: it is carried up unchanged
+        if sibling < len(level):
+            siblings.append((level[sibling].hex(), "left" if sibling < idx else "right"))
+        idx //= 2
     return InclusionProof(leaf_index=leaf_index, siblings=tuple(siblings))
 
 

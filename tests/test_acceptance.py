@@ -18,7 +18,13 @@ from bomtrace.canonical import canonical_bytes
 from bomtrace.cli import main as cli_main
 from bomtrace.errors import AlreadySealed, BolSealed, BomFrozen
 from bomtrace.gateway import Gateway
-from bomtrace.ledger import inclusion_proof, merkle_root, verify_entries, verify_inclusion
+from bomtrace.ledger import (
+    inclusion_proof,
+    merkle_levels,
+    merkle_root,
+    verify_entries,
+    verify_inclusion,
+)
 from bomtrace.runtime import bol_leaves
 from bomtrace.store import LOG_NAME
 from conftest import HPC_MANIFEST, build_hpc, build_two_stage_chain
@@ -190,7 +196,8 @@ def test_criterion_6_merkle_anchoring(gw):
     # two independent implementations agree on the root
     assert merkle_root(leaves) == anchor.merkle_root == _oracle_root(leaves)
 
-    proofs = {i: inclusion_proof(leaves, i) for i in range(51)}
+    levels = merkle_levels(leaves)
+    proofs = {i: inclusion_proof(levels, i) for i in range(51)}
     accepted = sum(
         verify_inclusion(leaves[i], proofs[i], anchor.merkle_root) for i in range(51)
     )

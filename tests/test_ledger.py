@@ -19,6 +19,7 @@ from bomtrace.ledger import (
     entry_hash_hex,
     inclusion_proof,
     leaf_digest,
+    merkle_levels,
     merkle_root,
     node_digest,
     verify_entries,
@@ -272,26 +273,40 @@ def test_roots_match_oracle_across_sizes():
 
 
 def test_inclusion_proofs_verify_across_sizes():
-    for n in (1, 2, 3, 5, 8, 13, 17):
+    # up to 70 leaves, an unpaired node is carried up at as many as four levels
+    for n in range(1, 71):
         leaves = [f"item {i}".encode() for i in range(n)]
-        root = merkle_root(leaves)
+        root = _oracle_root(leaves)
+        levels = merkle_levels(leaves)
+        assert levels[-1][0].hex() == merkle_root(leaves) == root
         for i, leaf in enumerate(leaves):
-            proof = inclusion_proof(leaves, i)
+            proof = inclusion_proof(levels, i)
             assert proof.leaf_index == i
             assert verify_inclusion(leaf, proof, root)
+
+
+def test_levels_run_from_leaf_digests_to_the_root():
+    leaves = [f"x{i}".encode() for i in range(7)]
+    levels = merkle_levels(leaves)
+    assert [len(level) for level in levels] == [7, 4, 2, 1]
+    assert levels[0] == [leaf_digest(leaf) for leaf in leaves]
+    # the unpaired seventh digest is carried up unchanged
+    assert levels[1][3] == levels[0][6]
+    with pytest.raises(ValueError):
+        inclusion_proof(levels, 7)
 
 
 def test_wrong_leaf_fails():
     leaves = [f"x{i}".encode() for i in range(7)]
     root = merkle_root(leaves)
-    proof = inclusion_proof(leaves, 3)
+    proof = inclusion_proof(merkle_levels(leaves), 3)
     assert not verify_inclusion(b"forged", proof, root)
 
 
 def test_side_swap_fails():
     leaves = [f"x{i}".encode() for i in range(6)]
     root = merkle_root(leaves)
-    proof = inclusion_proof(leaves, 2)
+    proof = inclusion_proof(merkle_levels(leaves), 2)
     flipped = tuple(
         (digest, "left" if side == "right" else "right")
         for digest, side in proof.siblings
@@ -304,10 +319,11 @@ def test_side_swap_fails():
 def test_single_bit_mutations_always_fail():
     leaves = [f"obs {i}".encode() for i in range(9)]
     root = merkle_root(leaves)
+    levels = merkle_levels(leaves)
     rng = random.Random(11)
     for _ in range(300):
         index = rng.randrange(len(leaves))
-        proof = inclusion_proof(leaves, index)
+        proof = inclusion_proof(levels, index)
         if rng.random() < 0.5:
             corrupt = bytearray(leaves[index])
             corrupt[rng.randrange(len(corrupt))] ^= 1 << rng.randrange(8)

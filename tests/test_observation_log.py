@@ -17,7 +17,7 @@ from bomtrace.canonical import canonical_bytes
 from bomtrace.gateway import Gateway
 from bomtrace.ledger import BOL_CREATED, BOL_SEALED, OBSERVATION_RECORDED
 from bomtrace.runtime import Bol, Observation
-from bomtrace.store import LOG_NAME, Store
+from bomtrace.store import LOG_NAME, Store, WriteOp
 from conftest import FIXED_NOW, build_hpc
 
 
@@ -161,6 +161,32 @@ def test_tampered_bol_entry_still_opens(tmp_path, entry_type, field, value):
             assert status == 404
         else:
             assert (status, json.loads(data)["status"]) == (200, "open")
+    finally:
+        reopened.close()
+
+
+def test_a_skipped_bol_entry_keeps_its_deterministic_id(tmp_path):
+    gw = open_gateway(tmp_path)
+    parts = build_hpc(gw)
+    gw.instantiate_bol(parts["bom"])
+    gw.close()
+    with Store(tmp_path) as store:
+        record = store.get(f"le_{0:016d}")
+        doc = json.loads(record.data)
+        doc["payload"]["created_at"] = "x"
+        store.put_many([WriteOp(record.key, record.kind, canonical_bytes(doc), None)])
+
+    reopened = open_gateway(tmp_path)
+    try:
+        named = {
+            json.loads(line)["payload"]["bol_id"]
+            for line in reopened.export_ledger().splitlines()
+        }
+        # replay skips the tampered entry, but its BoL id stays taken
+        assert reopened.get_bol(*named) is None
+        bol = reopened.instantiate_bol(parts["bom"])
+        assert bol.id not in named
+        assert reopened.verify_chain() == (False, 0)
     finally:
         reopened.close()
 

@@ -5,14 +5,17 @@ import pytest
 
 from bomtrace.api import dispatch
 from bomtrace.canonical import canonical_bytes
+from bomtrace import runtime
 from bomtrace.errors import (
     AlreadySealed,
     BolNotSealed,
     BolSealed,
     ComponentNotInBom,
+    StorageFailure,
     UnknownBol,
     UnknownBom,
 )
+from bomtrace.gateway import Gateway
 from bomtrace.ledger import (
     OBSERVATION_RECORDED,
     leaf_digest,
@@ -20,7 +23,7 @@ from bomtrace.ledger import (
 )
 from bomtrace.runtime import BolStatus, bol_header_bytes, bol_leaves, observation_record_bytes
 from bomtrace.store import LOG_NAME
-from conftest import build_hpc, build_two_stage_chain
+from conftest import FIXED_NOW, build_hpc, build_two_stage_chain
 from graphutil import random_ecosystem
 
 
@@ -240,6 +243,82 @@ def test_inclusion_proof_requires_sealed_bol(gw):
         gw.inclusion_proof(bol.id, 0)
 
 
+def _count_leaf_builds(monkeypatch) -> list:
+    """Count the calls to ``runtime.bol_leaves`` from here on."""
+    calls = []
+    build = runtime.bol_leaves
+
+    def counting(bol):
+        calls.append(bol.id)
+        return build(bol)
+
+    monkeypatch.setattr(runtime, "bol_leaves", counting)
+    return calls
+
+
+def _record_mixed(gw, parts, bol_id, count):
+    for i in range(count):
+        cid = (parts["scene"], parts["model"], parts["result"])[i % 3]
+        gw.record_observation(bol_id, cid, f"reading {i}", now=i)
+
+
+def test_proofs_after_a_seal_build_no_leaves(gw, monkeypatch):
+    parts = build_hpc(gw)
+    bol = gw.instantiate_bol(parts["bom"])
+    _record_mixed(gw, parts, bol.id, 20)
+    anchor = gw.seal_bol(bol.id)
+    calls = _count_leaf_builds(monkeypatch)
+    for i in range(anchor.leaf_count):
+        leaf, proof = gw.inclusion_proof(bol.id, i)
+        assert verify_inclusion(leaf, proof, anchor.merkle_root)
+    assert calls == []
+
+
+def test_proofs_after_a_reopen_are_the_same_bytes(tmp_path, monkeypatch):
+    gw = Gateway(tmp_path, deterministic_ids=True, clock=lambda: FIXED_NOW)
+    parts = build_hpc(gw)
+    bol = gw.instantiate_bol(parts["bom"])
+    _record_mixed(gw, parts, bol.id, 20)
+    leaf_count = gw.seal_bol(bol.id).leaf_count
+    before = [dispatch(gw, "GET", f"/bols/{bol.id}/proofs/{i}") for i in range(leaf_count)]
+    gw.close()
+    calls = _count_leaf_builds(monkeypatch)
+    reopened = Gateway(tmp_path)
+    try:
+        after = [
+            dispatch(reopened, "GET", f"/bols/{bol.id}/proofs/{i}") for i in range(leaf_count)
+        ]
+    finally:
+        reopened.close()
+    assert after == before
+    assert all(status == 200 for status, _, _ in after)
+    # the replayed run builds its tree at its first proof, and only then
+    assert calls == [bol.id]
+
+
+def test_a_failed_seal_leaves_no_stale_tree(gw, monkeypatch):
+    parts = build_hpc(gw)
+    bol = gw.instantiate_bol(parts["bom"])
+    _record_mixed(gw, parts, bol.id, 5)
+
+    def failing(writes):
+        raise StorageFailure("injected")
+
+    with monkeypatch.context() as patch:
+        patch.setattr(gw.store, "put_many", failing)
+        with pytest.raises(StorageFailure):
+            gw.seal_bol(bol.id)
+    assert gw.get_bol(bol.id).status is BolStatus.OPEN
+    gw.record_observation(bol.id, parts["model"], "after the failed seal")
+    anchor = gw.seal_bol(bol.id)
+    leaves = bol_leaves(gw.get_bol(bol.id))
+    assert anchor.leaf_count == len(leaves) == 7
+    for i in range(anchor.leaf_count):
+        leaf, proof = gw.inclusion_proof(bol.id, i)
+        assert leaf == leaves[i]
+        assert verify_inclusion(leaf, proof, anchor.merkle_root)
+
+
 def test_sealed_bol_bytes_unchanged_by_rejected_mutations(gw, tmp_path):
     parts = build_hpc(gw)
     bol = gw.instantiate_bol(parts["bom"])
@@ -261,8 +340,6 @@ def test_sealed_bol_bytes_unchanged_by_rejected_mutations(gw, tmp_path):
 
 
 def test_anchor_deterministic_across_store_instances(tmp_path):
-    from bomtrace.gateway import Gateway
-
     def run(path):
         gateway = Gateway(path, deterministic_ids=True, clock=lambda: 1000)
         parts = build_hpc(gateway)
