@@ -9,6 +9,7 @@ from __future__ import annotations
 import argparse
 import logging
 import os
+from http import HTTPStatus
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from urllib.parse import unquote, urlsplit
 
@@ -62,8 +63,28 @@ class _Handler(BaseHTTPRequestHandler):
         # end_headers() would send the header block on its own; put the blank
         # line and the body in the same buffer so one sendall carries them all
         self._headers_buffer.append(b"\r\n")
-        self._headers_buffer.append(payload)
+        if self.command != "HEAD":
+            self._headers_buffer.append(payload)
         self.flush_headers()
+
+    def send_error(self, code: int, message: str | None = None, explain: str | None = None) -> None:
+        """Answer a request that ``http.server`` refuses before dispatch, in JSON.
+
+        A verb with no ``do_`` method goes to the dispatcher, which answers
+        ``404 UNKNOWN_ROUTE`` for every verb the API does not route. Any other
+        refusal is a request line or header block that does not parse; it is
+        answered ``400 MALFORMED_BODY`` and the connection closes, since the
+        rest of the stream cannot be framed.
+        """
+        if code == HTTPStatus.NOT_IMPLEMENTED:
+            self._handle(self.command)
+            return
+        if not self.command:
+            # no version was read from a request line that did not parse;
+            # answer in ours, not with the bare body of an HTTP/0.9 reply
+            self.request_version = self.protocol_version
+        self.close_connection = True
+        self._reply(*error_response(MalformedBody(message or self.responses[code][0])))
 
     def do_GET(self) -> None:
         self._handle("GET")
@@ -73,13 +94,6 @@ class _Handler(BaseHTTPRequestHandler):
 
     def do_PUT(self) -> None:
         self._handle("PUT")
-
-    # unsupported verbs still get a JSON 404 from the dispatcher
-    def do_DELETE(self) -> None:
-        self._handle("DELETE")
-
-    def do_PATCH(self) -> None:
-        self._handle("PATCH")
 
     def log_message(self, fmt: str, *args) -> None:
         logger.debug("%s %s", self.address_string(), fmt % args)

@@ -8,6 +8,7 @@ import time
 import pytest
 
 from bomtrace import server as server_module
+from bomtrace.api import dispatch
 from bomtrace.gateway import Gateway
 from bomtrace.server import MAX_BODY_BYTES, ApiServer
 
@@ -25,22 +26,31 @@ def server(tmp_path):
     gateway.close()
 
 
-def _post_with_length(server, length: str) -> tuple[int, dict, str | None, bytes]:
-    """POST /components with a raw Content-Length header and no body.
+def _send_raw(server, request: bytes) -> tuple[int, dict, str | None, bytes]:
+    """Send raw request bytes and read one JSON answer.
 
     Returns the status, the JSON body, the Connection header, and the first
     byte the server sends after the response (b"" once it hangs up).
     """
-    request = (
-        f"POST /components HTTP/1.1\r\nHost: localhost\r\n"
-        f"Content-Type: application/json\r\nContent-Length: {length}\r\n\r\n"
-    ).encode()
     with socket.create_connection(server.server_address, timeout=5) as sock:
         sock.sendall(request)
         response = http.client.HTTPResponse(sock)
         response.begin()
+        assert response.getheader("Content-Type") == "application/json"
         body = json.loads(response.read())
-        return response.status, body, response.getheader("Connection"), sock.recv(1)
+        try:
+            after = sock.recv(1)
+        except ConnectionResetError:  # it hung up with part of the request unread
+            after = b""
+        return response.status, body, response.getheader("Connection"), after
+
+
+def _post_with_length(server, length: str) -> tuple[int, dict, str | None, bytes]:
+    """POST /components with a raw Content-Length header and no body."""
+    return _send_raw(server, (
+        f"POST /components HTTP/1.1\r\nHost: localhost\r\n"
+        f"Content-Type: application/json\r\nContent-Length: {length}\r\n\r\n"
+    ).encode())
 
 
 @pytest.mark.parametrize("length", ["-1", "abc", "1.5"])
@@ -107,11 +117,60 @@ def test_keep_alive_request_rejected_before_dispatch_is_answered(server):
         started = time.perf_counter()
         conn.request("HEAD", "/healthz")
         response = conn.getresponse()  # a hang would raise socket.timeout
-        response.read()
-        assert response.status == 501
+        assert response.read() == b""  # a HEAD answer carries no body
+        assert response.status == 404
+        assert response.getheader("Content-Type") == "application/json"
+        _, _, body = dispatch(server.gateway, "HEAD", "/healthz")
+        assert response.getheader("Content-Length") == str(len(body))
         assert time.perf_counter() - started < 1
+        sock = conn.sock
+        status, doc = _round_trip(conn, "GET", "/healthz")
+        assert status == 200 and doc == {"status": "ok"}
+        assert conn.sock is sock  # answered on the same keep-alive connection
     finally:
         conn.close()
+
+
+@pytest.mark.parametrize("method", ["OPTIONS", "DELETE", "PATCH", "BREW"])
+def test_unrouted_verb_is_answered_like_any_unknown_route(server, method):
+    conn = http.client.HTTPConnection(*server.server_address, timeout=5)
+    try:
+        conn.request(method, "/boms?x=1", body=b"{}")
+        response = conn.getresponse()
+        assert (response.status, response.read()) == (
+            404, dispatch(server.gateway, method, "/boms")[2]
+        )
+        assert response.getheader("Content-Type") == "application/json"
+        status, doc = _round_trip(conn, "GET", "/healthz")
+        assert status == 200 and doc == {"status": "ok"}
+    finally:
+        conn.close()
+
+
+@pytest.mark.parametrize("request_line", [
+    b"NONSENSE",  # one word
+    b"GET /healthz HTTP/x.y",  # a version that is not one
+    b"GET /healthz HTTP/2.0",  # a version this server does not speak
+    b"POST /components",  # an HTTP/0.9 request that is not a GET
+    b"GET /" + b"a" * 70_000 + b" HTTP/1.1",  # longer than a request line may be
+], ids=["one-word", "bad-version", "http-2", "http-0.9-post", "too-long"])
+def test_bad_request_line_is_malformed_body(server, request_line):
+    status, body, connection, after = _send_raw(server, request_line + b"\r\n\r\n")
+    assert (status, body["code"]) == (400, "MALFORMED_BODY")
+    assert connection == "close"
+    assert after == b""
+
+
+@pytest.mark.parametrize("headers", [
+    b"X-Big: " + b"a" * 70_000 + b"\r\n",  # one header line too long
+    b"".join(b"X-%d: 1\r\n" % n for n in range(101)),  # too many headers
+], ids=["long-line", "too-many"])
+def test_oversized_headers_are_malformed_body(server, headers):
+    request = b"GET /healthz HTTP/1.1\r\nHost: localhost\r\n" + headers + b"\r\n"
+    status, body, connection, after = _send_raw(server, request)
+    assert (status, body["code"]) == (400, "MALFORMED_BODY")
+    assert connection == "close"
+    assert after == b""
 
 
 def test_lone_surrogate_is_refused_and_connection_kept(server):
