@@ -67,7 +67,9 @@ class _Handler(BaseHTTPRequestHandler):
             self._headers_buffer.append(payload)
         self.flush_headers()
 
-    def send_error(self, code: int, message: str | None = None, explain: str | None = None) -> None:
+    def send_error(
+        self, code: int, message: str | None = None, explain: str | None = None
+    ) -> None:
         """Answer a request that ``http.server`` refuses before dispatch, in JSON.
 
         A verb with no ``do_`` method goes to the dispatcher, which answers
