@@ -113,10 +113,10 @@ class Gateway:
         # BoLs per BoM: a BoL's shadow items are the components of its
         # (frozen) BoM, so this answers which runs used a component
         self._bols_by_bom: dict[str, list[str]] = {}
-        bol_ids = [
+        bol_ids = {
             self._replay(index, record.data)
             for index, record in enumerate(self.store.scan(KIND_LEDGER_ENTRY))
-        ]
+        }
         entity_ids = itertools.chain(
             self._components, self._assemblies, self._boms, filter(None, bol_ids)
         )
