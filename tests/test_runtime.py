@@ -3,9 +3,9 @@ import random
 
 import pytest
 
+from bomtrace import runtime
 from bomtrace.api import dispatch
 from bomtrace.canonical import canonical_bytes
-from bomtrace import runtime
 from bomtrace.errors import (
     AlreadySealed,
     BolNotSealed,
