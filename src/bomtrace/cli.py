@@ -19,6 +19,7 @@ from typing import Any
 from urllib.parse import quote, urlencode
 
 from .api import JSON_TYPE, dispatch
+from .errors import StorageFailure
 from .gateway import Gateway
 
 # subcommand -> (method, endpoint template) — one endpoint each
@@ -274,7 +275,11 @@ def main(argv: list[str] | None = None) -> int:
     if args.embedded:
         if not args.data_dir:
             parser.error("--embedded requires --data-dir")
-        client = EmbeddedClient(args.data_dir, args.deterministic_ids)
+        try:
+            client = EmbeddedClient(args.data_dir, args.deterministic_ids)
+        except StorageFailure as exc:
+            print(f"error[{exc.code}]: {exc.message}", file=sys.stderr)
+            return 1
     elif args.server:
         client = HttpClient(args.server)
     else:

@@ -97,7 +97,7 @@ class Store:
                 try:
                     txn = json.loads(line.decode("utf-8"))
                     self._apply(txn)
-                except (UnicodeDecodeError, json.JSONDecodeError, KeyError, TypeError) as exc:
+                except (ValueError, KeyError, TypeError) as exc:  # bad UTF-8, JSON, base64
                     raise StorageFailure(
                         f"corrupt store log at byte {offset}: {exc}"
                     ) from exc

@@ -7,6 +7,7 @@ from bomtrace.api import ROUTES, dispatch
 from bomtrace.cli import ENDPOINTS, main
 from bomtrace.gateway import Gateway
 from bomtrace.server import ApiServer
+from bomtrace.store import LOG_NAME
 from conftest import HPC_MANIFEST
 
 
@@ -121,6 +122,24 @@ def test_argument_that_is_not_utf8_exits_one(workdir, capsys):
     code, out, err = run_cli(workdir, "bom", "show", not_utf8, capsys=capsys)
     assert (code, out) == (1, "")
     assert err.startswith("error[MALFORMED_BODY]:"), err
+
+
+@pytest.mark.parametrize(
+    "log",
+    [
+        b'{"writes":[{"data_b64":"abc","key":"k","kind":"component","revision":1}]}\n',
+        b'{"writes":[]}\n{"writes":[{"key":\n{"writes":[]}\n',
+    ],
+    ids=["bad_base64", "malformed_middle_line"],
+)
+def test_corrupt_data_directory_exits_one(workdir, capsys, log):
+    data = workdir / "data"
+    data.mkdir()
+    (data / LOG_NAME).write_bytes(log)
+    code, out, err = run_cli(workdir, "ledger", "verify", capsys=capsys)
+    assert (code, out) == (1, "")
+    assert err.startswith("error[STORAGE_FAILURE]: corrupt store log at byte "), err
+    assert "Traceback" not in err
 
 
 def test_usage_errors_exit_two(workdir, capsys):

@@ -113,6 +113,25 @@ def test_scan_orders_by_key_and_filters(tmp_path):
         assert store.scan("bol") == []
 
 
+_GOOD_LINE = b'{"writes":[{"data_b64":"e30=","key":"k","kind":"component","revision":1}]}\n'
+
+
+@pytest.mark.parametrize(
+    "log, offset",
+    [
+        (b'{"writes":[{"data_b64":"abc","key":"k","kind":"component","revision":1}]}\n', 0),
+        (_GOOD_LINE + b'{"writes":[{"key":\n' + _GOOD_LINE, len(_GOOD_LINE)),
+        (_GOOD_LINE + b'{"writes":[{"data_b64":"e30=","key":"k"}]}\n', len(_GOOD_LINE)),
+        (b"\xff\n", 0),
+    ],
+    ids=["bad_base64", "malformed_middle_line", "missing_field", "not_utf8"],
+)
+def test_corrupt_log_line_is_a_storage_failure(tmp_path, log, offset):
+    (tmp_path / LOG_NAME).write_bytes(log)
+    with pytest.raises(StorageFailure, match=f"^corrupt store log at byte {offset}: "):
+        Store(tmp_path)
+
+
 class _HalfWrite:
     """Log file stand-in whose first write lands half its bytes, then fails."""
 
