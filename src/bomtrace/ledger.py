@@ -23,7 +23,7 @@ from typing import Any, Sequence
 
 from .canonical import canonical_bytes, from_canonical
 from .errors import MalformedProof, StorageFailure
-from .store import KIND_LEDGER_ENTRY, Store, WriteOp
+from .store import KIND_LEDGER_ENTRY, Store, StoredRecord, WriteOp
 
 GENESIS_HASH = "0" * 64
 
@@ -260,6 +260,10 @@ class Ledger:
         self._count = len(records)
         self._last_hash = GENESIS_HASH
         self._broken: str | None = None  # why appends are refused, if they are
+        # The records verify_chain has passed, in scan order, and the hash of
+        # the last. It starts empty, so each open checks every stored record.
+        self._verified: list[StoredRecord] = []
+        self._verified_head = GENESIS_HASH
         if records:
             try:
                 self._last_hash = LedgerEntry.from_dict(
@@ -287,6 +291,11 @@ class Ledger:
             WriteOp(_entry_key(entry.index), KIND_LEDGER_ENTRY, entry.record(), 0),
         ]
         self._store.put_many(writes)
+        if len(self._verified) == self._count and self._verified_head == self._last_hash:
+            # chained from a verified head, with a payload checked canonical
+            # above: the record as written passes verify_chain
+            self._verified.append(self._store.get(_entry_key(entry.index)))
+            self._verified_head = entry.entry_hash
         self._count = entry.index + 1
         self._last_hash = entry.entry_hash
         return entry
@@ -305,9 +314,22 @@ class Ledger:
         catches a record that decodes to the right values but is not its own
         canonical encoding, and one whose fields are not of the types the
         chain rule needs.
+
+        Records this ledger verified before, or wrote on top of a verified
+        chain, are not checked again while the store holds those very record
+        objects ahead of the rest. ``Store.put`` always makes a new record,
+        so any rewrite or inserted record sends the check back to genesis.
         """
-        prev = GENESIS_HASH
-        for pos, record in enumerate(self._store.scan(KIND_LEDGER_ENTRY)):
+        records = self._store.scan(KIND_LEDGER_ENTRY)
+        verified = self._verified
+        if len(verified) > len(records) or any(
+            mine is not stored for mine, stored in zip(verified, records)
+        ):
+            verified.clear()
+            self._verified_head = GENESIS_HASH
+        prev = self._verified_head
+        for pos in range(len(verified), len(records)):
+            record = records[pos]
             try:
                 doc = from_canonical(record.data)
                 if doc["entry_type"] not in ENTRY_TYPES:
@@ -320,6 +342,8 @@ class Ledger:
             if record.data != expected.record():
                 return False, pos
             prev = expected.entry_hash
+            verified.append(record)
+            self._verified_head = prev
         return True, None
 
     def export(self) -> bytes:

@@ -2,13 +2,18 @@ import dataclasses
 import hashlib
 import json
 import random
+import shutil
 import subprocess
+import tempfile
 
 import pytest
+from hypothesis import settings
+from hypothesis import strategies as st
+from hypothesis.stateful import RuleBasedStateMachine, invariant, precondition, rule
 
 from bomtrace.api import dispatch
 from bomtrace.canonical import canonical_bytes
-from bomtrace.errors import MalformedProof
+from bomtrace.errors import MalformedProof, StorageFailure
 from bomtrace.gateway import Gateway
 from bomtrace.ledger import (
     BOL_CREATED,
@@ -16,6 +21,7 @@ from bomtrace.ledger import (
     OBSERVATION_RECORDED,
     InclusionProof,
     Ledger,
+    LedgerEntry,
     entry_hash_hex,
     inclusion_proof,
     leaf_digest,
@@ -25,7 +31,7 @@ from bomtrace.ledger import (
     verify_entries,
     verify_inclusion,
 )
-from bomtrace.store import Store
+from bomtrace.store import KIND_LEDGER_ENTRY, Store
 
 
 @pytest.fixture
@@ -225,6 +231,108 @@ def test_export_is_reproducible_ndjson(tmp_path):
         doc = json.loads(line)
         assert doc["index"] == pos
         assert canonical_bytes(doc).decode("utf-8") == line
+
+
+class LedgerAgainstAFreshVerifier(RuleBasedStateMachine):
+    """A ledger that remembers what it verified answers as one that does not.
+
+    Every step ends with the long-lived ledger's ``verify_chain`` compared
+    with that of a ``Ledger`` opened on the same store, which starts with
+    nothing verified.
+    """
+
+    def __init__(self):
+        super().__init__()
+        self.dir = tempfile.mkdtemp(prefix="ledger-memo-")
+        self.store = Store(self.dir)
+        self.ledger = Ledger(self.store)
+        self.extra = 0
+
+    def teardown(self):
+        self.store.close()
+        shutil.rmtree(self.dir)
+
+    def records(self):
+        return self.store.scan(KIND_LEDGER_ENTRY)
+
+    def chained_at(self, records, pos, n):
+        """The record a correct chain would hold at scan position ``pos``."""
+        head = GENESIS_HASH
+        if pos:
+            try:
+                head = json.loads(records[pos - 1].data)["entry_hash"]
+            except (ValueError, KeyError, TypeError):
+                pass
+        return LedgerEntry.chained(pos, head, OBSERVATION_RECORDED, _payload(n)).record()
+
+    @rule(n=st.integers(0, 9))
+    def append(self, n):
+        self.ledger.append_entry(OBSERVATION_RECORDED, _payload(n))
+
+    @rule(n=st.integers(0, 9))
+    def append_that_fails_to_commit(self, n):
+        def failing(writes):
+            raise StorageFailure("injected")
+
+        self.store.put_many = failing
+        try:
+            with pytest.raises(StorageFailure):
+                self.ledger.append_entry(OBSERVATION_RECORDED, _payload(n))
+        finally:
+            del self.store.put_many
+
+    @rule()
+    def verify(self):
+        self.ledger.verify_chain()
+
+    @precondition(lambda self: self.records())
+    @rule(data=st.data(), how=st.sampled_from(["same", "flip", "pretty", "rechain"]))
+    def rewrite(self, data, how):
+        records = self.records()
+        # the last record is where a rewrite and the next append meet
+        pos = data.draw(st.just(len(records) - 1) | st.integers(0, len(records) - 1))
+        new = records[pos].data
+        if how == "flip":
+            start = new.find(b'"payload":') + len(b'"payload":')
+            end = new.find(b',"payload_hash":')
+            if start >= len(b'"payload":') and end > start:
+                at = data.draw(st.integers(start, end - 1))
+                new = new[:at] + bytes([new[at] ^ 1]) + new[at + 1:]
+        elif how == "pretty":
+            try:
+                new = json.dumps(json.loads(new), indent=1, sort_keys=True).encode()
+            except ValueError:
+                pass
+        elif how == "rechain":
+            # a different entry that is correct where it stands
+            new = self.chained_at(records, pos, data.draw(st.integers(10, 19)))
+        self.store.put(records[pos].key, KIND_LEDGER_ENTRY, new)
+
+    @precondition(lambda self: self.records())
+    @rule(data=st.data(), after_all=st.booleans(), chained=st.booleans())
+    def insert(self, data, after_all, chained):
+        records = self.records()
+        if after_all:
+            self.extra += 1
+            key = f"le_z{self.extra:04d}"
+        else:
+            key = data.draw(st.sampled_from(records)).key + "x"
+        if chained:
+            pos = sum(record.key < key for record in records)
+            new = self.chained_at(records, pos, data.draw(st.integers(20, 29)))
+        else:
+            new = data.draw(st.sampled_from(records)).data
+        self.store.put(key, KIND_LEDGER_ENTRY, new)
+
+    @invariant()
+    def agrees_with_a_fresh_verifier(self):
+        assert self.ledger.verify_chain() == Ledger(self.store).verify_chain()
+
+
+LedgerAgainstAFreshVerifier.TestCase.settings = settings(
+    max_examples=60, stateful_step_count=25, deadline=None, derandomize=True
+)
+test_verify_chain_agrees_with_a_fresh_verifier = LedgerAgainstAFreshVerifier.TestCase
 
 
 # -- Merkle tree ---------------------------------------------------------
