@@ -60,23 +60,39 @@ class _Run:
     """One BoL in memory: its header and its observations per shadow item.
 
     ``header`` carries the id, BoM, label, status and anchor, with no shadow
-    items; the observations are appended in place, in ledger order. ``tree``
-    holds the anchor leaves and the Merkle levels over them, built on first
-    use; ``Gateway._apply`` drops it whenever an observation is added, so it
+    items; the observations are appended in place, in ledger order. ``leaves``
+    holds, next to each observation, its anchor leaf: the payload bytes its
+    ledger entry committed, or None for one replayed at open. ``tree`` holds
+    the anchor leaves and the Merkle levels over them, built on first use;
+    ``Gateway._apply`` drops it whenever an observation is added, so it
     always covers the observations held.
     """
 
-    __slots__ = ("header", "observations", "tree")
+    __slots__ = ("header", "observations", "leaves", "tree")
 
     def __init__(self, header: Bol, component_ids: Iterable[str]):
         self.header = header
         self.observations: dict[str, list[Observation]] = {cid: [] for cid in component_ids}
+        self.leaves: dict[str, list[bytes | None]] = {cid: [] for cid in self.observations}
         self.tree: tuple[list[bytes], list[list[bytes]]] | None = None
 
     def merkle_tree(self) -> tuple[list[bytes], list[list[bytes]]]:
-        """The anchor leaves and every Merkle level over them, built once."""
+        """The anchor leaves and every Merkle level over them, built once.
+
+        The leaves are those of ``runtime.bol_leaves``. A replayed
+        observation's leaf is encoded from its position, as that function
+        does, not taken from its entry, whose ``observation_index`` may lie.
+        """
         if self.tree is None:
-            leaves = runtime.bol_leaves(self.snapshot())
+            leaves = [runtime.bol_header_bytes(self.header)]
+            for cid in sorted(self.observations):
+                slots = zip(self.observations[cid], self.leaves[cid])
+                for position, (observation, leaf) in enumerate(slots):
+                    if leaf is None:
+                        leaf = runtime.observation_record_bytes(
+                            self.header.id, cid, position, observation
+                        )
+                    leaves.append(leaf)
             self.tree = (leaves, ledgermod.merkle_levels(leaves))
         return self.tree
 
@@ -155,13 +171,16 @@ class Gateway:
             pass
         return bol_id if isinstance(bol_id, str) else None
 
-    def _apply(self, entry_type: str, doc: Any, index: int) -> None:
+    def _apply(
+        self, entry_type: str, doc: Any, index: int, leaf: bytes | None = None
+    ) -> None:
         """Update the runs from one committed ledger entry's decoded payload.
 
         New entries and replayed ones both come through here. A payload that
         names an unknown BoM, BoL or shadow item, or whose fields a run cannot
         hold, raises KeyError, TypeError or ValueError. Observations take their
-        index from their position in ledger order.
+        index from their position in ledger order. ``leaf`` is the payload bytes
+        a new observation's entry committed, kept as its anchor leaf.
         """
         if entry_type == ledgermod.BOL_CREATED:
             header = Bol(
@@ -180,7 +199,8 @@ class Gateway:
             self._bols_by_bom.setdefault(header.bom_id, []).append(header.id)
         elif entry_type == ledgermod.OBSERVATION_RECORDED:
             run = self._runs[doc["bol_id"]]
-            observations = run.observations[doc["component_id"]]
+            cid = doc["component_id"]
+            observations = run.observations[cid]
             observation = Observation.from_dict(doc)
             if not (
                 type(observation.recorded_at) is int
@@ -189,6 +209,7 @@ class Gateway:
             ):
                 raise TypeError(f"ledger entry {index} is not an observation")
             observations.append(observation)
+            run.leaves[cid].append(leaf)
             run.tree = None
         elif entry_type == ledgermod.BOL_SEALED:
             run = self._runs[doc["bol_id"]]
@@ -498,7 +519,10 @@ class Gateway:
             # the ledger entry is the observation's only stored copy
             entry = self.ledger.append_entry(ledgermod.OBSERVATION_RECORDED, record_bytes)
             # hold the stored (canonical) form, as a reopen would replay it
-            self._apply(ledgermod.OBSERVATION_RECORDED, from_canonical(record_bytes), entry.index)
+            self._apply(
+                ledgermod.OBSERVATION_RECORDED, from_canonical(record_bytes), entry.index,
+                record_bytes,
+            )
             return observations[-1], index
 
     def seal_bol(self, bol_id: str, now: int | None = None) -> Anchor:

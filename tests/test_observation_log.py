@@ -15,8 +15,8 @@ import pytest
 from bomtrace.api import dispatch
 from bomtrace.canonical import canonical_bytes
 from bomtrace.gateway import Gateway
-from bomtrace.ledger import BOL_CREATED, BOL_SEALED, OBSERVATION_RECORDED
-from bomtrace.runtime import Bol, Observation
+from bomtrace.ledger import BOL_CREATED, BOL_SEALED, OBSERVATION_RECORDED, verify_inclusion
+from bomtrace.runtime import Bol, Observation, bol_leaves
 from bomtrace.store import LOG_NAME, Store, WriteOp
 from conftest import FIXED_NOW, build_hpc
 
@@ -122,6 +122,15 @@ def test_tampered_observation_entry_still_opens(tmp_path, field, value):
         assert reopened.verify_chain() == (False, bad_index)
         status, _, _ = dispatch(reopened, "GET", f"/bols/{bol.id}")
         assert status == 200
+        # each replayed leaf is encoded from the observation's position, not
+        # taken from its entry
+        anchor = reopened.seal_bol(bol.id)
+        leaves = bol_leaves(reopened.get_bol(bol.id))
+        assert anchor.leaf_count == len(leaves)
+        for i, expected in enumerate(leaves):
+            leaf, proof = reopened.inclusion_proof(bol.id, i)
+            assert leaf == expected
+            assert verify_inclusion(leaf, proof, anchor.merkle_root)
     finally:
         reopened.close()
 

@@ -3,9 +3,10 @@ import random
 
 import pytest
 
+from bomtrace import gateway as gateway_module
 from bomtrace import runtime
 from bomtrace.api import dispatch
-from bomtrace.canonical import canonical_bytes
+from bomtrace.canonical import canonical_bytes, from_canonical
 from bomtrace.errors import (
     AlreadySealed,
     BolNotSealed,
@@ -244,15 +245,18 @@ def test_inclusion_proof_requires_sealed_bol(gw):
 
 
 def _count_leaf_builds(monkeypatch) -> list:
-    """Count the calls to ``runtime.bol_leaves`` from here on."""
+    """Count the Merkle trees the gateway builds from here on, by BoL id.
+
+    Leaf 0 of a BoL's tree is its header, which names the BoL.
+    """
     calls = []
-    build = runtime.bol_leaves
+    build = gateway_module.ledgermod.merkle_levels
 
-    def counting(bol):
-        calls.append(bol.id)
-        return build(bol)
+    def counting(leaves):
+        calls.append(from_canonical(leaves[0])["bol_id"])
+        return build(leaves)
 
-    monkeypatch.setattr(runtime, "bol_leaves", counting)
+    monkeypatch.setattr(gateway_module.ledgermod, "merkle_levels", counting)
     return calls
 
 
@@ -317,6 +321,61 @@ def test_a_failed_seal_leaves_no_stale_tree(gw, monkeypatch):
         leaf, proof = gw.inclusion_proof(bol.id, i)
         assert leaf == leaves[i]
         assert verify_inclusion(leaf, proof, anchor.merkle_root)
+
+
+def test_a_seal_hashes_the_committed_payloads(gw, monkeypatch):
+    parts = build_hpc(gw)
+    bol = gw.instantiate_bol(parts["bom"])
+    gw.record_observation(bol.id, parts["scene"], "e\u0301", now=1)  # not NFC
+    gw.record_observation(bol.id, parts["model"], "plain", note=None, now=2)
+    gw.record_observation(bol.id, parts["model"], "noted", note="n\u0303ote", now=3)
+    gw.record_observation(bol.id, parts["result"], "final", note="", now=4)
+    encodes = []
+    encode = runtime.observation_record_bytes
+
+    def counting(*args):
+        encodes.append(args)
+        return encode(*args)
+
+    monkeypatch.setattr(runtime, "observation_record_bytes", counting)
+    anchor = gw.seal_bol(bol.id)
+    assert encodes == []
+    leaves = bol_leaves(gw.get_bol(bol.id))
+    assert anchor.leaf_count == len(leaves) == 5
+    for i, expected in enumerate(leaves):
+        leaf, proof = gw.inclusion_proof(bol.id, i)
+        assert leaf == expected
+        assert verify_inclusion(leaf, proof, anchor.merkle_root)
+
+
+def test_a_run_reopened_open_seals_replayed_and_new_leaves_alike(tmp_path):
+    gw = Gateway(tmp_path, deterministic_ids=True, clock=lambda: FIXED_NOW)
+    parts = build_hpc(gw)
+    bol = gw.instantiate_bol(parts["bom"])
+    _record_mixed(gw, parts, bol.id, 7)
+    gw.record_observation(bol.id, parts["scene"], "e\u0301", note="n\u0303", now=8)
+    gw.close()
+    gw = Gateway(tmp_path, deterministic_ids=True, clock=lambda: FIXED_NOW)
+    try:
+        _record_mixed(gw, parts, bol.id, 5)
+        gw.record_observation(bol.id, parts["result"], "e\u0301", now=9)
+        anchor = gw.seal_bol(bol.id)
+        leaves = bol_leaves(gw.get_bol(bol.id))
+        assert anchor.leaf_count == len(leaves) == 15
+        paths = [f"/bols/{bol.id}/proofs/{i}" for i in range(anchor.leaf_count)]
+        before = [dispatch(gw, "GET", path) for path in paths]
+        for i, expected in enumerate(leaves):
+            leaf, proof = gw.inclusion_proof(bol.id, i)
+            assert leaf == expected
+            assert verify_inclusion(leaf, proof, anchor.merkle_root)
+    finally:
+        gw.close()
+    reopened = Gateway(tmp_path)
+    try:
+        assert [dispatch(reopened, "GET", path) for path in paths] == before
+    finally:
+        reopened.close()
+    assert all(status == 200 for status, _, _ in before)
 
 
 def test_sealed_bol_bytes_unchanged_by_rejected_mutations(gw, tmp_path):
