@@ -94,10 +94,12 @@ class Store:
         offset = 0
         for line in raw[:end].split(b"\n"):
             if line:
+                # bad UTF-8, JSON or base64 raises ValueError, and JSON nested
+                # too deep RecursionError
                 try:
                     txn = json.loads(line.decode("utf-8"))
                     self._apply(txn)
-                except (ValueError, KeyError, TypeError) as exc:  # bad UTF-8, JSON, base64
+                except (ValueError, KeyError, TypeError, RecursionError) as exc:
                     raise StorageFailure(
                         f"corrupt store log at byte {offset}: {exc}"
                     ) from exc

@@ -123,8 +123,9 @@ _GOOD_LINE = b'{"writes":[{"data_b64":"e30=","key":"k","kind":"component","revis
         (_GOOD_LINE + b'{"writes":[{"key":\n' + _GOOD_LINE, len(_GOOD_LINE)),
         (_GOOD_LINE + b'{"writes":[{"data_b64":"e30=","key":"k"}]}\n', len(_GOOD_LINE)),
         (b"\xff\n", 0),
+        (_GOOD_LINE + b"[" * 100_000 + b"]" * 100_000 + b"\n", len(_GOOD_LINE)),
     ],
-    ids=["bad_base64", "malformed_middle_line", "missing_field", "not_utf8"],
+    ids=["bad_base64", "malformed_middle_line", "missing_field", "not_utf8", "nested_too_deep"],
 )
 def test_corrupt_log_line_is_a_storage_failure(tmp_path, log, offset):
     (tmp_path / LOG_NAME).write_bytes(log)
