@@ -47,13 +47,22 @@ def _normalize(value: Any) -> Any:
     raise CanonicalEncodingError(f"type {type(value).__name__} is not canonical")
 
 
-def canonical_bytes(value: Any) -> bytes:
-    """Encode ``value`` as canonical JSON bytes."""
+def canonical_encode(value: Any) -> tuple[Any, bytes]:
+    """``value`` NFC-normalized, and its canonical JSON bytes.
+
+    The normalized value is what ``from_canonical`` would parse back from the
+    bytes, up to key order, so a caller that needs both encodes once.
+    """
     normalized = _normalize(value)
     text = json.dumps(
         normalized, ensure_ascii=False, sort_keys=True, separators=(",", ":")
     )
-    return text.encode("utf-8")
+    return normalized, text.encode("utf-8")
+
+
+def canonical_bytes(value: Any) -> bytes:
+    """Encode ``value`` as canonical JSON bytes."""
+    return canonical_encode(value)[1]
 
 
 def from_canonical(data: bytes | str) -> Any:

@@ -456,13 +456,12 @@ class Gateway:
             }
             if run_label is not None:
                 payload["run_label"] = run_label
-            created = canonical_bytes(payload)
-            entry = self.ledger.append_entry(
-                ledgermod.BOL_CREATED, created, extra_writes=freeze
+            entry, created = self.ledger.append_entry(
+                ledgermod.BOL_CREATED, payload, extra_writes=freeze
             )
             for op in freeze:
                 self._hold(op)
-            self._apply(ledgermod.BOL_CREATED, from_canonical(created), entry.index)
+            self._apply(ledgermod.BOL_CREATED, created, entry.index)
             return self._runs[bol_id].snapshot()
 
     def resolve_access(self, bol_id: str, component_id: str) -> dict[str, str]:
@@ -513,16 +512,13 @@ class Gateway:
                 # timestamps within a shadow item never run backwards
                 recorded_at = max(recorded_at, observations[-1].recorded_at)
             index = len(observations)
-            record_bytes = runtime.observation_record_bytes(
+            record = runtime.observation_record(
                 bol_id, component_id, index, Observation(recorded_at, payload, note)
             )
             # the ledger entry is the observation's only stored copy
-            entry = self.ledger.append_entry(ledgermod.OBSERVATION_RECORDED, record_bytes)
+            entry, stored = self.ledger.append_entry(ledgermod.OBSERVATION_RECORDED, record)
             # hold the stored (canonical) form, as a reopen would replay it
-            self._apply(
-                ledgermod.OBSERVATION_RECORDED, from_canonical(record_bytes), entry.index,
-                record_bytes,
-            )
+            self._apply(ledgermod.OBSERVATION_RECORDED, stored, entry.index, entry.payload)
             return observations[-1], index
 
     def seal_bol(self, bol_id: str, now: int | None = None) -> Anchor:
@@ -531,14 +527,13 @@ class Gateway:
             if run.header.status is BolStatus.SEALED:
                 raise AlreadySealed(f"BoL {bol_id} is already sealed", detail={"id": bol_id})
             leaves, levels = run.merkle_tree()
-            sealed = canonical_bytes({
+            entry, sealed = self.ledger.append_entry(ledgermod.BOL_SEALED, {
                 "bol_id": bol_id,
                 "leaf_count": len(leaves),
                 "merkle_root": levels[-1][0].hex(),
                 "sealed_at": self._now(now),
             })
-            entry = self.ledger.append_entry(ledgermod.BOL_SEALED, sealed)
-            self._apply(ledgermod.BOL_SEALED, from_canonical(sealed), entry.index)
+            self._apply(ledgermod.BOL_SEALED, sealed, entry.index)
             return run.header.anchor
 
     # -- lineage queries ------------------------------------------------------

@@ -21,7 +21,7 @@ import hashlib
 from dataclasses import dataclass
 from typing import Any, Sequence
 
-from .canonical import canonical_bytes, from_canonical
+from .canonical import canonical_bytes, canonical_encode, from_canonical
 from .errors import MalformedProof, StorageFailure
 from .store import KIND_LEDGER_ENTRY, Store, StoredRecord, WriteOp
 
@@ -275,30 +275,36 @@ class Ledger:
     def append_entry(
         self,
         entry_type: str,
-        payload: bytes,
+        payload: Any,
         extra_writes: Sequence[WriteOp] = (),
-    ) -> LedgerEntry:
+    ) -> tuple[LedgerEntry, Any]:
+        """Chain the JSON document ``payload``; returns the entry and the document.
+
+        The ledger encodes the payload itself, so the bytes it chains are
+        canonical by construction. The document returned is the payload as
+        those bytes hold it (NFC-normalized), for the caller to apply without
+        parsing the bytes back. A value with no canonical form raises
+        ``CanonicalEncodingError`` and nothing is written.
+        """
         if self._broken is not None:
             raise StorageFailure(f"ledger refuses appends: {self._broken}")
         if entry_type not in ENTRY_TYPES:
             raise ValueError(f"unknown entry type {entry_type!r}")
-        # payloads must already be canonical bytes
-        if canonical_bytes(from_canonical(payload)) != payload:
-            raise ValueError("ledger payload is not canonical JSON")
-        entry = LedgerEntry.chained(self._count, self._last_hash, entry_type, payload)
+        document, payload_bytes = canonical_encode(payload)
+        entry = LedgerEntry.chained(self._count, self._last_hash, entry_type, payload_bytes)
         writes = [
             *extra_writes,
             WriteOp(_entry_key(entry.index), KIND_LEDGER_ENTRY, entry.record(), 0),
         ]
         self._store.put_many(writes)
         if len(self._verified) == self._count and self._verified_head == self._last_hash:
-            # chained from a verified head, with a payload checked canonical
+            # chained from a verified head, with a payload encoded canonical
             # above: the record as written passes verify_chain
             self._verified.append(self._store.get(_entry_key(entry.index)))
             self._verified_head = entry.entry_hash
         self._count = entry.index + 1
         self._last_hash = entry.entry_hash
-        return entry
+        return entry, document
 
     def entries(self) -> list[LedgerEntry]:
         out = []

@@ -119,10 +119,10 @@ def bol_header_bytes(bol: Bol) -> bytes:
     )
 
 
-def observation_record_bytes(
+def observation_record(
     bol_id: str, component_id: str, observation_index: int, observation: Observation
-) -> bytes:
-    """Canonical bytes shared by the ledger payload and the Merkle leaf."""
+) -> dict[str, Any]:
+    """The ``observation_recorded`` ledger payload, whose bytes are also the Merkle leaf."""
     doc: dict[str, Any] = {
         "bol_id": bol_id,
         "component_id": component_id,
@@ -132,7 +132,16 @@ def observation_record_bytes(
     }
     if observation.note is not None:
         doc["note"] = observation.note
-    return canonical_bytes(doc)
+    return doc
+
+
+def observation_record_bytes(
+    bol_id: str, component_id: str, observation_index: int, observation: Observation
+) -> bytes:
+    """Canonical bytes shared by the ledger payload and the Merkle leaf."""
+    return canonical_bytes(
+        observation_record(bol_id, component_id, observation_index, observation)
+    )
 
 
 def bol_leaves(bol: Bol) -> list[bytes]:

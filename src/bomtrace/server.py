@@ -14,7 +14,7 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from urllib.parse import unquote, urlsplit
 
 from .api import MAX_BODY_BYTES, dispatch, error_response
-from .errors import BodyTooLarge, MalformedBody
+from .errors import BodyTooLarge, MalformedBody, StorageFailure
 from .gateway import Gateway
 
 logger = logging.getLogger(__name__)
@@ -74,19 +74,31 @@ class _Handler(BaseHTTPRequestHandler):
 
         A verb with no ``do_`` method goes to the dispatcher, which answers
         ``404 UNKNOWN_ROUTE`` for every verb the API does not route. Any other
-        refusal is a request line or header block that does not parse; it is
-        answered ``400 MALFORMED_BODY`` and the connection closes, since the
-        rest of the stream cannot be framed.
+        refusal is a request line or header block that does not parse, or an
+        HTTP/0.9 request; it is answered ``400 MALFORMED_BODY`` and the
+        connection closes, since the rest of the stream cannot be framed.
         """
         if code == HTTPStatus.NOT_IMPLEMENTED:
             self._handle(self.command)
             return
-        if not self.command:
-            # no version was read from a request line that did not parse;
-            # answer in ours, not with the bare body of an HTTP/0.9 reply
-            self.request_version = self.protocol_version
+        # answer in our version: a request line that did not parse, or an
+        # HTTP/0.9 one, would otherwise get the bare body of an HTTP/0.9 reply
+        self.request_version = self.protocol_version
         self.close_connection = True
         self._reply(*error_response(MalformedBody(message or self.responses[code][0])))
+
+    def parse_request(self) -> bool:
+        """Parse as ``http.server`` does, but refuse an HTTP/0.9 request.
+
+        ``http.server`` takes a two-word ``GET`` line as an HTTP/0.9 request,
+        whose reply has no status line or headers.
+        """
+        if not super().parse_request():
+            return False
+        if self.request_version == "HTTP/0.9":
+            self.send_error(HTTPStatus.BAD_REQUEST, "HTTP/0.9 requests are not served")
+            return False
+        return True
 
     def do_GET(self) -> None:
         self._handle("GET")
@@ -146,7 +158,11 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
 
     logging.basicConfig(level=logging.INFO, format="%(asctime)s %(name)s %(message)s")
-    gateway = Gateway(args.data_dir, deterministic_ids=args.deterministic_ids)
+    try:
+        gateway = Gateway(args.data_dir, deterministic_ids=args.deterministic_ids)
+    except StorageFailure as exc:
+        logger.error("cannot open data directory %s: %s", args.data_dir, exc)
+        return 1
     server = ApiServer(gateway, args.host, args.port, args.base_path)
     logger.info("listening on http://%s:%d%s", args.host, args.port, server.base_path)
     try:

@@ -1,13 +1,29 @@
 """Embedded durable record store.
 
-A single append-only NDJSON log (``store.ndjson`` inside the data directory)
-holds one committed transaction per line; each transaction carries one or
-more keyed writes. Opening a store replays the log into memory, so reads are
+A single append-only log (``store.ndjson`` inside the data directory) holds
+one committed transaction per line; each transaction carries one or more
+keyed writes. Opening a store replays the log into memory, so reads are
 dictionary lookups. Appends are written and fsynced before they are
 acknowledged, and a torn final line (crash mid-append) is discarded on the
 next open — a write either fully commits or never happened. An append that
 fails part-way is cut back off the log at once; if even that fails, the store
 refuses further writes until it is reopened.
+
+A line has one of two layouts, told apart by whether it holds a TAB byte:
+
+* **Raw records (v2).** A JSON header ``{"writes":[{"key","kind","revision"},
+  …]}``, then each write's record bytes as they are, each after one TAB, in
+  the header's order. A transaction is written this way when none of its
+  records holds a TAB or LF byte.
+* **Inline records (v1).** One JSON object ``{"writes":[{"data_b64","key",
+  "kind","revision"}, …]}`` with each record base64-encoded. A transaction
+  with a record that holds a TAB or LF byte is written this way, and logs
+  from before v2 hold only such lines.
+
+The JSON parts have sorted keys, no whitespace and only ASCII bytes, so they
+never hold a raw TAB or LF: a LF always ends a line, and in v2 the TABs
+split the header and the records. A key or kind reads back exactly as it was
+written.
 
 The store is a plain keyed log: reads are by key, or every record of one kind
 in key order. Indexes over record contents belong to the layers that know
@@ -24,7 +40,6 @@ import threading
 from dataclasses import dataclass
 from pathlib import Path
 
-from .canonical import canonical_bytes
 from .errors import NotFound, RevisionConflict, StorageFailure
 
 logger = logging.getLogger(__name__)
@@ -58,6 +73,11 @@ class WriteOp:
     kind: str
     data: bytes
     expected_revision: int | None = None
+
+
+def _json_bytes(value: dict) -> bytes:
+    """Sorted keys, no whitespace, ASCII only: never a raw TAB or LF."""
+    return json.dumps(value, sort_keys=True, separators=(",", ":")).encode("ascii")
 
 
 class Store:
@@ -97,8 +117,7 @@ class Store:
                 # bad UTF-8, JSON or base64 raises ValueError, and JSON nested
                 # too deep RecursionError
                 try:
-                    txn = json.loads(line.decode("utf-8"))
-                    self._apply(txn)
+                    self._apply(line)
                 except (ValueError, KeyError, TypeError, RecursionError) as exc:
                     raise StorageFailure(
                         f"corrupt store log at byte {offset}: {exc}"
@@ -111,14 +130,20 @@ class Store:
                 fh.truncate(end)
         return end
 
-    def _apply(self, txn: dict) -> None:
+    def _apply(self, line: bytes) -> None:
+        """Load one committed transaction line, in either layout."""
+        header, *records = line.split(b"\t")
+        writes = json.loads(header.decode("utf-8"))["writes"]
+        if not records:
+            records = [base64.b64decode(write["data_b64"]) for write in writes]
+        elif len(records) != len(writes):
+            raise ValueError(
+                f"header lists {len(writes)} writes, line holds {len(records)} records"
+            )
         self._transactions += 1
-        for write in txn["writes"]:
+        for write, data in zip(writes, records):
             self._records[write["key"]] = StoredRecord(
-                key=write["key"],
-                kind=write["kind"],
-                data=base64.b64decode(write["data_b64"]),
-                revision=write["revision"],
+                key=write["key"], kind=write["kind"], data=data, revision=write["revision"]
             )
 
     # -- writes --------------------------------------------------------
@@ -151,15 +176,14 @@ class Store:
                 revision = current + 1
                 seen[op.key] = revision
                 revisions.append(revision)
-                staged.append(
-                    {
-                        "data_b64": base64.b64encode(op.data).decode("ascii"),
-                        "key": op.key,
-                        "kind": op.kind,
-                        "revision": revision,
-                    }
-                )
-            line = canonical_bytes({"writes": staged}) + b"\n"
+                staged.append({"key": op.key, "kind": op.kind, "revision": revision})
+            records = [op.data for op in writes]
+            if any(b"\t" in data or b"\n" in data for data in records):
+                for write, data in zip(staged, records):
+                    write["data_b64"] = base64.b64encode(data).decode("ascii")
+                line = _json_bytes({"writes": staged}) + b"\n"
+            else:
+                line = b"\t".join([_json_bytes({"writes": staged}), *records]) + b"\n"
             try:
                 view = memoryview(line)
                 while view:

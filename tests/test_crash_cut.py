@@ -1,7 +1,7 @@
 """Crash cuts: a store log cut at any byte opens to exactly its complete lines.
 
-A short session in the current layout (one BoM, two BoLs, observations and
-one seal) is cut at every line boundary, one byte either side of each, and at
+A short session in the current layout, whose every line holds raw records
+(one BoM, two BoLs, observations and one seal), is cut at every line boundary, one byte either side of each, and at
 a stride through the lines. Each cut must open, hold exactly the ledger
 entries of its complete lines and pass ``verify_chain``. A BoL is present
 exactly when its ``bol_created`` line survived; it then holds, per shadow
@@ -19,7 +19,6 @@ any cut failed:
     PYTHONPATH=src python tests/test_crash_cut.py
 """
 
-import base64
 import json
 import logging
 import sys
@@ -32,6 +31,7 @@ from bomtrace.ledger import BOL_CREATED, BOL_SEALED, OBSERVATION_RECORDED, verif
 from bomtrace.runtime import BolStatus
 from bomtrace.store import LOG_NAME
 from conftest import FIXED_NOW, build_hpc
+from logutil import line_writes
 
 STRIDE = 97  # bytes between cuts inside a line; prime, so cuts fall all over a line
 
@@ -60,10 +60,10 @@ def expected_state(
     The anchor root is None while the BoL is open.
     """
     records = [
-        base64.b64decode(write["data_b64"])
+        write.data
         for line in lines
-        for write in json.loads(line)["writes"]
-        if write["kind"] == "ledger_entry"
+        for write in line_writes(line)
+        if write.kind == "ledger_entry"
     ]
     roots: dict[str, str | None] = {}
     counts: dict[str, Counter] = {}
@@ -110,7 +110,9 @@ def check_cut(data_dir, log: bytes, cut: int, bol_ids) -> None:
 
 def test_every_cut_opens_to_its_complete_lines(tmp_path):
     log = _session(tmp_path / "session")
-    _, runs = expected_state(log.split(b"\n")[:-1])
+    lines = log.split(b"\n")[:-1]
+    assert all(b"\t" in line for line in lines)  # the raw-record layout
+    _, runs = expected_state(lines)
     assert sorted(root is not None for root, _ in runs.values()) == [False, True]
     boundaries = [pos + 1 for pos, byte in enumerate(log) if byte == ord("\n")]
     cuts = {0, *range(0, len(log), STRIDE)}

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from hypothesis.stateful import RuleBasedStateMachine, invariant, precondition, rule
 
 from bomtrace.api import dispatch
-from bomtrace.canonical import canonical_bytes
+from bomtrace.canonical import CanonicalEncodingError, canonical_bytes
 from bomtrace.errors import MalformedProof, StorageFailure
 from bomtrace.gateway import Gateway
 from bomtrace.ledger import (
@@ -40,13 +40,13 @@ def store(tmp_path):
         yield s
 
 
-def _payload(n: int) -> bytes:
-    return canonical_bytes({"n": n})
+def _payload(n: int) -> dict:
+    return {"n": n}
 
 
 def test_genesis_prev_hash(store):
     ledger = Ledger(store)
-    entry = ledger.append_entry(BOL_CREATED, _payload(0))
+    entry, _ = ledger.append_entry(BOL_CREATED, _payload(0))
     assert entry.index == 0
     assert entry.prev_hash == "0" * 64
     assert len(entry.prev_hash) == 64
@@ -54,15 +54,15 @@ def test_genesis_prev_hash(store):
 
 def test_chain_links(store):
     ledger = Ledger(store)
-    first = ledger.append_entry(BOL_CREATED, _payload(0))
-    second = ledger.append_entry(OBSERVATION_RECORDED, _payload(1))
+    first, _ = ledger.append_entry(BOL_CREATED, _payload(0))
+    second, _ = ledger.append_entry(OBSERVATION_RECORDED, _payload(1))
     assert second.prev_hash == first.entry_hash
     assert second.index == 1
 
 
 def test_entry_hash_matches_independent_digest_tool(store):
     ledger = Ledger(store)
-    entry = ledger.append_entry(BOL_CREATED, _payload(42))
+    entry, _ = ledger.append_entry(BOL_CREATED, _payload(42))
     preimage = (
         f"{entry.index}{entry.prev_hash}{entry.entry_type}{entry.payload_hash}"
     ).encode("ascii")
@@ -74,10 +74,20 @@ def test_entry_hash_matches_independent_digest_tool(store):
     assert entry.payload_hash == hashlib.sha256(entry.payload).hexdigest()
 
 
-def test_non_canonical_payload_rejected(store):
+def test_payload_is_chained_as_its_canonical_bytes(store):
     ledger = Ledger(store)
-    with pytest.raises(ValueError):
-        ledger.append_entry(BOL_CREATED, b'{"b": 1, "a": 2}')
+    entry, document = ledger.append_entry(BOL_CREATED, {"b": 1, "a": 2, "s": "e\u0301"})
+    assert entry.payload == '{"a":2,"b":1,"s":"\u00e9"}'.encode()
+    assert document == {"a": 2, "b": 1, "s": "\u00e9"}
+    assert store.get(f"le_{0:016d}").data == entry.record()
+    assert ledger.verify_chain() == (True, None)
+
+
+def test_payload_with_no_canonical_form_is_refused(store):
+    ledger = Ledger(store)
+    with pytest.raises(CanonicalEncodingError):
+        ledger.append_entry(BOL_CREATED, {"score": 0.5})
+    assert (ledger.count, store.transaction_count) == (0, 0)
 
 
 def test_verify_empty_ledger(store):
@@ -92,7 +102,7 @@ def test_chain_survives_reopen(tmp_path):
     with Store(tmp_path) as store:
         ledger = Ledger(store)
         assert ledger.count == 5
-        entry = ledger.append_entry(BOL_CREATED, _payload(99))
+        entry, _ = ledger.append_entry(BOL_CREATED, _payload(99))
         assert entry.index == 5
         assert ledger.verify_chain() == (True, None)
 
@@ -122,7 +132,7 @@ def test_tampered_file_detected_after_reopen(tmp_path):
             ledger.append_entry(BOL_CREATED, _payload(i))
     log = tmp_path / "store.ndjson"
     raw = log.read_bytes()
-    assert b'\\"n\\":4' not in raw  # payloads are nested as b64, not text
+    assert b'\\"n\\":4' not in raw  # payloads are stored as JSON, not as escaped text
     # tamper through the store API instead: rewrite entry 4 with a bumped payload
     with Store(tmp_path) as store:
         record = store.get("le_" + f"{4:016d}")
@@ -164,7 +174,7 @@ def test_stored_record_is_the_canonical_entry(store):
     ledger = Ledger(store)
     payloads = [{}, {"n": 1}, {"text": "\u00e9 \u4e2d \"q\"", "nested": {"b": [1, {"a": None}]}}]
     for payload in payloads:
-        entry = ledger.append_entry(OBSERVATION_RECORDED, canonical_bytes(payload))
+        entry, _ = ledger.append_entry(OBSERVATION_RECORDED, payload)
         record = store.get(f"le_{entry.index:016d}").data
         assert record == entry.record() == canonical_bytes(entry.to_dict())
     assert ledger.verify_chain() == (True, None)
@@ -263,7 +273,8 @@ class LedgerAgainstAFreshVerifier(RuleBasedStateMachine):
                 head = json.loads(records[pos - 1].data)["entry_hash"]
             except (ValueError, KeyError, TypeError):
                 pass
-        return LedgerEntry.chained(pos, head, OBSERVATION_RECORDED, _payload(n)).record()
+        payload = canonical_bytes(_payload(n))
+        return LedgerEntry.chained(pos, head, OBSERVATION_RECORDED, payload).record()
 
     @rule(n=st.integers(0, 9))
     def append(self, n):

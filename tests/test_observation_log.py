@@ -19,6 +19,7 @@ from bomtrace.ledger import BOL_CREATED, BOL_SEALED, OBSERVATION_RECORDED, verif
 from bomtrace.runtime import Bol, Observation, bol_leaves
 from bomtrace.store import LOG_NAME, Store, WriteOp
 from conftest import FIXED_NOW, build_hpc
+from logutil import line_writes
 
 
 def open_gateway(path):
@@ -53,7 +54,7 @@ def test_write_cost_is_flat_and_decodes_no_bol(tmp_path, monkeypatch):
 def _last_writes(log):
     """(key, kind) of each write in the log's last transaction."""
     line = log.read_bytes().splitlines()[-1]
-    return [(write["key"], write["kind"]) for write in json.loads(line)["writes"]]
+    return [(write.key, write.kind) for write in line_writes(line)]
 
 
 def test_bol_is_stored_only_as_ledger_entries(gw, tmp_path):

@@ -11,6 +11,7 @@ from bomtrace import server as server_module
 from bomtrace.api import dispatch
 from bomtrace.gateway import Gateway
 from bomtrace.server import MAX_BODY_BYTES, ApiServer
+from bomtrace.store import LOG_NAME
 
 
 @pytest.fixture
@@ -152,8 +153,9 @@ def test_unrouted_verb_is_answered_like_any_unknown_route(server, method):
     b"GET /healthz HTTP/x.y",  # a version that is not one
     b"GET /healthz HTTP/2.0",  # a version this server does not speak
     b"POST /components",  # an HTTP/0.9 request that is not a GET
+    b"GET /healthz",  # an HTTP/0.9 GET
     b"GET /" + b"a" * 70_000 + b" HTTP/1.1",  # longer than a request line may be
-], ids=["one-word", "bad-version", "http-2", "http-0.9-post", "too-long"])
+], ids=["one-word", "bad-version", "http-2", "http-0.9-post", "http-0.9-get", "too-long"])
 def test_bad_request_line_is_malformed_body(server, request_line):
     status, body, connection, after = _send_raw(server, request_line + b"\r\n\r\n")
     assert (status, body["code"]) == (400, "MALFORMED_BODY")
@@ -210,3 +212,16 @@ def test_unexpected_exception_is_answered_and_connection_kept(server, monkeypatc
         assert conn.sock is sock  # answered on the same keep-alive connection
     finally:
         conn.close()
+
+
+@pytest.mark.parametrize("log", [
+    b'{"writes":[{"data_b64":"abc","key":"k","kind":"component","revision":1}]}\n',
+    b'{"writes":[{"key":"k","kind":"component","revision":1}]}\t{}\t{}\n',
+], ids=["bad_base64", "bad_raw_record_line"])
+def test_corrupt_data_directory_exits_one(tmp_path, caplog, log):
+    data = tmp_path / "data"
+    data.mkdir()
+    (data / LOG_NAME).write_bytes(log)
+    assert server_module.main(["--data-dir", str(data), "--port", "0"]) == 1
+    assert "corrupt store log at byte 0: " in caplog.text
+    assert "Traceback" not in caplog.text

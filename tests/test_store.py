@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from bomtrace.canonical import canonical_bytes
 from bomtrace.errors import NotFound, RevisionConflict, StorageFailure
-from bomtrace.store import LOG_NAME, Store, WriteOp
+from bomtrace.store import LOG_NAME, Store, StoredRecord, WriteOp
 
 
 def test_put_get_round_trip(tmp_path):
@@ -114,6 +114,7 @@ def test_scan_orders_by_key_and_filters(tmp_path):
 
 
 _GOOD_LINE = b'{"writes":[{"data_b64":"e30=","key":"k","kind":"component","revision":1}]}\n'
+_GOOD_RAW_LINE = b'{"writes":[{"key":"k","kind":"component","revision":1}]}\t{}\n'
 
 
 @pytest.mark.parametrize(
@@ -124,8 +125,14 @@ _GOOD_LINE = b'{"writes":[{"data_b64":"e30=","key":"k","kind":"component","revis
         (_GOOD_LINE + b'{"writes":[{"data_b64":"e30=","key":"k"}]}\n', len(_GOOD_LINE)),
         (b"\xff\n", 0),
         (_GOOD_LINE + b"[" * 100_000 + b"]" * 100_000 + b"\n", len(_GOOD_LINE)),
+        (_GOOD_RAW_LINE + b'{"writes":[\t{}\n' + _GOOD_LINE, len(_GOOD_RAW_LINE)),
+        (_GOOD_LINE + b'{"writes":[{"key":"k","kind":"component","revision":1}]}\t{}\t{}\n',
+         len(_GOOD_LINE)),
+        (_GOOD_RAW_LINE + b'{"writes":[{"kind":"component","revision":1}]}\t{}\n',
+         len(_GOOD_RAW_LINE)),
     ],
-    ids=["bad_base64", "malformed_middle_line", "missing_field", "not_utf8", "nested_too_deep"],
+    ids=["bad_base64", "malformed_middle_line", "missing_field", "not_utf8", "nested_too_deep",
+         "raw_header_not_json", "raw_record_count", "raw_header_no_key"],
 )
 def test_corrupt_log_line_is_a_storage_failure(tmp_path, log, offset):
     (tmp_path / LOG_NAME).write_bytes(log)
@@ -210,6 +217,61 @@ def test_arbitrary_bytes_round_trip(tmp_path_factory, payload):
         assert store.get("ds_" + "0" * 32).data == payload
     with Store(path) as store:
         assert store.get("ds_" + "0" * 32).data == payload
+
+
+_KEYS = st.sampled_from(["k", "e\u0301", "\u00e9"]) | st.text(max_size=6)
+_RECORDS = st.sampled_from([b"", b"\t", b"\n", b'{\n "a": 1\n}', b"\xff\xfe\t\x00"]) | st.binary(
+    max_size=40
+)
+# per write: key, kind, record, and whether expected_revision is None, the
+# current revision, or a wrong one
+_BATCHES = st.lists(
+    st.lists(st.tuples(_KEYS, _KEYS, _RECORDS, st.sampled_from(["none", "right", "wrong"])),
+             max_size=4),
+    max_size=6,
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_BATCHES)
+def test_put_many_batches_read_back_after_reopen(tmp_path_factory, batches):
+    path = tmp_path_factory.mktemp("batches")
+    model: dict[str, tuple[str, bytes, int]] = {}  # key -> (kind, record, revision)
+    transactions = 0
+
+    def check(store):
+        assert {key: store.get(key) for key in model} == {
+            key: StoredRecord(key, kind, data, revision)
+            for key, (kind, data, revision) in model.items()
+        }
+        for kind in {kind for kind, _, _ in model.values()}:
+            assert [r.key for r in store.scan(kind)] == sorted(
+                key for key, (held, _, _) in model.items() if held == kind
+            )
+        assert (store.record_count, store.transaction_count) == (len(model), transactions)
+
+    with Store(path) as store:
+        for batch in batches:
+            ops, revisions, conflict, staged = [], [], False, {}
+            for key, kind, data, expected in batch:
+                current = staged.get(key, model.get(key, (None, None, 0))[2])
+                ops.append(WriteOp(key, kind, data, {
+                    "none": None, "right": current, "wrong": current + 1,
+                }[expected]))
+                conflict |= expected == "wrong"
+                staged[key] = current + 1
+                revisions.append(current + 1)
+            if conflict:
+                with pytest.raises(RevisionConflict):
+                    store.put_many(ops)
+                continue
+            assert store.put_many(ops) == revisions
+            transactions += 1
+            for op, revision in zip(ops, revisions):
+                model[op.key] = (op.kind, op.data, revision)
+        check(store)
+    with Store(path) as store:
+        check(store)
 
 
 def test_thousand_round_trips(tmp_path):
