@@ -1,13 +1,14 @@
 """Crash cuts: a store log cut at any byte opens to exactly its complete lines.
 
 A short session in the current layout, whose every line holds raw records
-(one BoM, two BoLs, observations and one seal), is cut at every line boundary, one byte either side of each, and at
-a stride through the lines. Each cut must open, hold exactly the ledger
-entries of its complete lines and pass ``verify_chain``. A BoL is present
-exactly when its ``bol_created`` line survived; it then holds, per shadow
-item, the observations of its complete lines, and is sealed exactly when its
-``bol_sealed`` line survived. A sealed BoL then proves every leaf against
-the root of that line, from a tree first built after the reopen.
+(one BoM, two BoLs, observations and one seal), is cut at every line
+boundary, one byte either side of each, and at a stride through the lines.
+Each cut must open, hold exactly the ledger entries of its complete lines and
+pass ``verify_chain``. A BoL is present exactly when its ``bol_created`` line
+survived; it then holds, per shadow item, the observations of its complete
+lines, and is sealed exactly when its ``bol_sealed`` line survived. A sealed
+BoL then proves every leaf against the root of that line, from a tree first
+built after the reopen.
 
 The expectations are read from the complete lines themselves, not from the
 gateway, so the test is an oracle for the replay.
