@@ -16,7 +16,11 @@ from __future__ import annotations
 
 import json
 import unicodedata
+from json.scanner import make_scanner
 from typing import Any
+
+# the scanner that json.loads runs, called without its Python wrappers
+_scan_once = make_scanner(json.JSONDecoder())
 
 
 class CanonicalEncodingError(ValueError):
@@ -65,8 +69,25 @@ def canonical_bytes(value: Any) -> bytes:
     return canonical_encode(value)[1]
 
 
+def parse_json(text: str) -> Any:
+    """``json.loads(text)``, in one scanner call when ``text`` is one JSON value.
+
+    The value is taken only when the scan ends exactly at the end of ``text``.
+    Any other text (surrounding whitespace, a BOM, extra data, a value that
+    does not parse) goes through ``json.loads``, so it gives the same value,
+    or raises the same exception with the same message.
+    """
+    try:
+        value, end = _scan_once(text, 0)
+    except (StopIteration, ValueError, RecursionError):
+        return json.loads(text)
+    if end != len(text):
+        return json.loads(text)
+    return value
+
+
 def from_canonical(data: bytes | str) -> Any:
     """Parse canonical JSON produced by :func:`canonical_bytes`."""
     if isinstance(data, bytes):
         data = data.decode("utf-8")
-    return json.loads(data)
+    return parse_json(data)

@@ -39,7 +39,9 @@ import os
 import threading
 from dataclasses import dataclass
 from pathlib import Path
+from typing import NamedTuple
 
+from .canonical import parse_json
 from .errors import NotFound, RevisionConflict, StorageFailure
 
 logger = logging.getLogger(__name__)
@@ -52,8 +54,14 @@ KIND_BOM = "bom"
 KIND_LEDGER_ENTRY = "ledger_entry"
 
 
-@dataclass(frozen=True)
-class StoredRecord:
+class StoredRecord(NamedTuple):
+    """One record as the store holds it.
+
+    A tuple, so that a replay builds one cheaply. Every write builds a new
+    one, even for unchanged bytes: the ledger tells records it has verified
+    by identity.
+    """
+
     key: str
     kind: str
     data: bytes
@@ -133,7 +141,7 @@ class Store:
     def _apply(self, line: bytes) -> None:
         """Load one committed transaction line, in either layout."""
         header, *records = line.split(b"\t")
-        writes = json.loads(header.decode("utf-8"))["writes"]
+        writes = parse_json(header.decode("utf-8"))["writes"]
         if not records:
             records = [base64.b64decode(write["data_b64"]) for write in writes]
         elif len(records) != len(writes):
@@ -142,9 +150,13 @@ class Store:
             )
         self._transactions += 1
         for write, data in zip(writes, records):
-            self._records[write["key"]] = StoredRecord(
-                key=write["key"], kind=write["kind"], data=data, revision=write["revision"]
-            )
+            key, kind, revision = write["key"], write["kind"], write["revision"]
+            # another type would fail later, in scan's sort or the next put
+            if type(key) is not str or type(kind) is not str or type(revision) is not int:
+                raise TypeError(
+                    f"header write has key {key!r}, kind {kind!r}, revision {revision!r}"
+                )
+            self._records[key] = StoredRecord(key, kind, data, revision)
 
     # -- writes --------------------------------------------------------
 

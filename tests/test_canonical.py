@@ -2,10 +2,15 @@ import json
 import unicodedata
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from bomtrace.canonical import CanonicalEncodingError, canonical_bytes, from_canonical
+from bomtrace.canonical import (
+    CanonicalEncodingError,
+    canonical_bytes,
+    from_canonical,
+    parse_json,
+)
 
 
 def test_compact_sorted_output():
@@ -94,3 +99,39 @@ def test_encoding_idempotent(value):
     except CanonicalEncodingError:
         return
     assert canonical_bytes(from_canonical(once)) == once
+
+
+# JSON whitespace, and two characters that are not
+_SPACE = st.text(" \t\n\r\x0c\u00a0", max_size=3)
+_DOCUMENTS = st.builds(
+    lambda before, value, indent, ascii_only, after: (
+        before + json.dumps(value, indent=indent, ensure_ascii=ascii_only) + after
+    ),
+    st.sampled_from(["", "\ufeff"]) | _SPACE,
+    st.recursive(
+        st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=20),
+        lambda children: st.lists(children, max_size=4)
+        | st.dictionaries(st.text(max_size=8), children, max_size=4),
+        max_leaves=20,
+    ),
+    st.sampled_from([None, 0, 2]),
+    st.booleans(),
+    _SPACE | st.text(max_size=6),  # trailing whitespace or extra data
+)
+
+
+def _outcome(parse, text):
+    try:
+        return "value", repr(parse(text))  # repr tells 1 from 1.0 and True, and NaN from itself
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+@settings(max_examples=400, deadline=None)
+@given(_DOCUMENTS | st.text())
+@example("[" * 100_000 + "]" * 100_000)
+@example('{"a":' * 100_000 + "1" + "}" * 100_000)
+@example('{"writes":[],"x":[1')
+@example("")
+def test_parse_json_agrees_with_json_loads(text):
+    assert _outcome(parse_json, text) == _outcome(json.loads, text)

@@ -129,8 +129,10 @@ def test_argument_that_is_not_utf8_exits_one(workdir, capsys):
     [
         b'{"writes":[{"data_b64":"abc","key":"k","kind":"component","revision":1}]}\n',
         b'{"writes":[]}\n{"writes":[{"key":\n{"writes":[]}\n',
+        b'{"writes":[{"key":"k","kind":"component","revision":1}]}\t{}\n'
+        b'{"writes":[{"key":5,"kind":"component","revision":1}]}\t{}\n',
     ],
-    ids=["bad_base64", "malformed_middle_line"],
+    ids=["bad_base64", "malformed_middle_line", "int_key"],
 )
 def test_corrupt_data_directory_exits_one(workdir, capsys, log):
     data = workdir / "data"

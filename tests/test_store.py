@@ -3,6 +3,7 @@ import os
 import stat
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -11,6 +12,7 @@ from hypothesis import strategies as st
 from bomtrace.canonical import canonical_bytes
 from bomtrace.errors import NotFound, RevisionConflict, StorageFailure
 from bomtrace.store import LOG_NAME, Store, StoredRecord, WriteOp
+from logutil import line_writes
 
 
 def test_put_get_round_trip(tmp_path):
@@ -130,9 +132,20 @@ _GOOD_RAW_LINE = b'{"writes":[{"key":"k","kind":"component","revision":1}]}\t{}\
          len(_GOOD_LINE)),
         (_GOOD_RAW_LINE + b'{"writes":[{"kind":"component","revision":1}]}\t{}\n',
          len(_GOOD_RAW_LINE)),
+        (_GOOD_RAW_LINE + b'{"writes":[{"key":5,"kind":"component","revision":1}]}\t{}\n',
+         len(_GOOD_RAW_LINE)),
+        (_GOOD_LINE + b'{"writes":[{"data_b64":"e30=","key":5,"kind":"component","revision":1}]}\n',
+         len(_GOOD_LINE)),
+        (_GOOD_RAW_LINE + b'{"writes":[{"key":"j","kind":null,"revision":1}]}\t{}\n',
+         len(_GOOD_RAW_LINE)),
+        (_GOOD_RAW_LINE + b'{"writes":[{"key":"j","kind":"component","revision":"1"}]}\t{}\n',
+         len(_GOOD_RAW_LINE)),
+        (_GOOD_RAW_LINE + b'{"writes":[{"key":"j","kind":"component","revision":true}]}\t{}\n',
+         len(_GOOD_RAW_LINE)),
     ],
     ids=["bad_base64", "malformed_middle_line", "missing_field", "not_utf8", "nested_too_deep",
-         "raw_header_not_json", "raw_record_count", "raw_header_no_key"],
+         "raw_header_not_json", "raw_record_count", "raw_header_no_key", "raw_int_key",
+         "inline_int_key", "null_kind", "string_revision", "bool_revision"],
 )
 def test_corrupt_log_line_is_a_storage_failure(tmp_path, log, offset):
     (tmp_path / LOG_NAME).write_bytes(log)
@@ -272,6 +285,57 @@ def test_put_many_batches_read_back_after_reopen(tmp_path_factory, batches):
         check(store)
     with Store(path) as store:
         check(store)
+
+
+def test_every_write_makes_a_new_record(tmp_path):
+    with Store(tmp_path) as store:
+        store.put("k", "component", b"{}")
+        before = store.get("k")
+        store.put("k", "component", b"{}")
+        after = store.get("k")
+    # the ledger's verified-prefix memo tells rewritten records by identity
+    assert after is not before
+    assert after == StoredRecord(key="k", kind="component", data=b"{}", revision=2)
+    assert (after.key, after.kind, after.data, after.revision) == ("k", "component", b"{}", 2)
+
+
+def test_inline_log_takes_raw_appends_across_a_reopen(tmp_path):
+    golden = (Path(__file__).parent / "golden" / LOG_NAME).read_bytes().splitlines()
+    (tmp_path / LOG_NAME).write_bytes(b"".join(line + b"\n" for line in golden))
+    kinds = {write.kind for line in golden for write in line_writes(line)} | {"note"}
+
+    def state(store):
+        return (
+            {kind: store.scan(kind) for kind in kinds},
+            store.record_count,
+            store.transaction_count,
+        )
+
+    with Store(tmp_path) as store:
+        bom = store.scan("bom")[0]
+        store.put_many([
+            WriteOp(bom.key, "bom", b'{"name":"renamed"}', bom.revision),
+            WriteOp("note_1", "note", b"{}", 0),
+        ])
+        store.put("note_2", "note", b'{\n "pretty": 1\n}', 0)  # inline again
+        store.put("note_1", "note", b'{"again":1}', 1)
+        before = state(store)
+    lines = (tmp_path / LOG_NAME).read_bytes().splitlines()
+    assert lines[: len(golden)] == golden
+    assert [b"\t" in line for line in lines] == [False] * len(golden) + [True, False, True]
+    # every record as the log's lines hold it, read without the store
+    held = {}
+    for line in lines:
+        for write in line_writes(line):
+            held[write.key] = StoredRecord(write.key, write.kind, write.data, write.revision)
+    assert before == (
+        {kind: sorted((r for r in held.values() if r.kind == kind), key=lambda r: r.key)
+         for kind in kinds},
+        len(held),
+        len(lines),
+    )
+    with Store(tmp_path) as store:
+        assert state(store) == before
 
 
 def test_thousand_round_trips(tmp_path):
