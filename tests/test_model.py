@@ -13,7 +13,13 @@ from bomtrace.errors import (
     UnknownBom,
     ValidationFailed,
 )
-from bomtrace.model import ComponentKind
+from bomtrace.model import (
+    Assembly,
+    ComponentKind,
+    ComponentRecord,
+    Violation,
+    validate_structure,
+)
 from conftest import build_hpc, build_two_stage_chain
 from graphutil import global_graph, has_cycle, random_ecosystem, transitive_closure
 
@@ -112,6 +118,73 @@ def test_duplicate_component_in_list_rejected(gw):
     d = gw.create_component("data_source", "d")
     with pytest.raises(DuplicateMembership):
         gw.create_assembly("dup", input_data=[d.id, d.id])
+
+
+# Each role list of an assembly, with the one component kind it may hold.
+# Written out here, not read from the model, so the tests check the rule.
+ROLE_CASES = [
+    ("inputData", "input_data", "data_source"),
+    ("inputArtifacts", "input_artifacts", "artifact"),
+    ("outputData", "output_data", "data_source"),
+    ("outputArtifacts", "output_artifacts", "artifact"),
+]
+OTHER_KIND = {"data_source": "artifact", "artifact": "data_source"}
+ID_PREFIX = {"data_source": "ds_", "artifact": "af_"}
+
+
+@pytest.mark.parametrize("role, attribute, kind", ROLE_CASES)
+def test_role_refuses_a_member_of_the_other_kind(gw, role, attribute, kind):
+    wrong = gw.create_component(OTHER_KIND[kind], "wrong")
+    with pytest.raises(KindMismatch) as caught:
+        gw.create_assembly("bad", **{attribute: [wrong.id]})
+    assert caught.value.code == "KIND_MISMATCH"
+    assert caught.value.message == (
+        f"{role} expects kind {kind}, but {wrong.id} is {OTHER_KIND[kind]}"
+    )
+
+
+@pytest.mark.parametrize("role, attribute, kind", ROLE_CASES)
+def test_role_refuses_an_unknown_member(gw, role, attribute, kind):
+    unknown = ID_PREFIX[kind] + "0" * 32
+    with pytest.raises(DanglingRef) as caught:
+        gw.create_assembly("bad", **{attribute: [unknown]})
+    assert caught.value.code == "DANGLING_REF"
+    assert caught.value.message == f"{role} references unknown component {unknown}"
+
+
+@pytest.mark.parametrize("role, attribute, kind", ROLE_CASES)
+def test_validation_reports_each_role_member(role, attribute, kind):
+    wrong = ComponentRecord(ID_PREFIX[kind] + "1" * 32, ComponentKind(OTHER_KIND[kind]), "w")
+    missing = ID_PREFIX[kind] + "2" * 32
+    members = {a: () for _, a, _ in ROLE_CASES}
+    assembly = Assembly(
+        "as_" + "3" * 32, "a", None, **{**members, attribute: (wrong.id, missing)}
+    )
+    report = validate_structure(
+        [assembly.id], None, {assembly.id: assembly}, [], {wrong.id: wrong}.get
+    )
+    assert set(report.violations) == {
+        Violation(
+            "kind_mismatch", wrong.id, f"{role} of {assembly.id} expects {kind}"
+        ),
+        Violation(
+            "dangling_ref", missing,
+            f"{role} of {assembly.id} references a missing component",
+        ),
+    }
+
+
+@pytest.mark.parametrize("description", [None, "d"])
+def test_assembly_round_trips_every_role(description):
+    members = {
+        attribute: (f"{ID_PREFIX[kind]}{i:032x}", f"{ID_PREFIX[kind]}{i + 4:032x}")
+        for i, (_, attribute, kind) in enumerate(ROLE_CASES)
+    }
+    assembly = Assembly("as_" + "3" * 32, "a", description, **members)
+    doc = assembly.to_dict()
+    roles = [role for role, _, _ in ROLE_CASES]
+    assert [key for key in doc if key in roles] == roles
+    assert Assembly.from_dict(doc) == assembly
 
 
 def test_assembly_preserves_list_order(gw):
