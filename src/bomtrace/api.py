@@ -28,6 +28,7 @@ from .gateway import Gateway
 from .ids import REQUEST
 from .ledger import InclusionProof, verify_inclusion
 from .lineage import GLOBAL_SCOPE
+from .model import ROLES
 
 logger = logging.getLogger(__name__)
 
@@ -107,10 +108,7 @@ def _create_assembly(gw: Gateway, params, query, body):
     assembly = gw.create_assembly(
         name=body["name"],
         description=body.get("description"),
-        input_data=body.get("inputData") or (),
-        input_artifacts=body.get("inputArtifacts") or (),
-        output_data=body.get("outputData") or (),
-        output_artifacts=body.get("outputArtifacts") or (),
+        **{attribute: body.get(key) or () for key, attribute, _ in ROLES},
     )
     return {"assembly": assembly.to_dict()}
 

@@ -21,6 +21,7 @@ from urllib.parse import quote, urlencode
 from .api import JSON_TYPE, dispatch
 from .errors import StorageFailure
 from .gateway import Gateway
+from .model import ROLES
 
 # subcommand -> (method, endpoint template) — one endpoint each
 ENDPOINTS: dict[str, tuple[str, str]] = {
@@ -103,7 +104,7 @@ def _render_bom(doc: dict) -> str:
     lines.append(f"  frozen: {str(doc['frozen']).lower()}")
     for assembly in doc["assemblies"]:
         lines.append(f"  assembly {assembly['name']} [{assembly['id']}]")
-        for key in ("inputData", "inputArtifacts", "outputData", "outputArtifacts"):
+        for key, _, _ in ROLES:
             for comp in assembly.get(key, []):
                 lines.append(f"    {key}: {_fmt_component(comp)}")
     return "\n".join(lines)

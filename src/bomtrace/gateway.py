@@ -51,6 +51,15 @@ from .store import (
 
 _UNSET = object()
 
+# Each model record's store kind, with its type and the Gateway map that
+# holds the decoded records of that kind
+_RECORD_KINDS = {
+    KIND_COMPONENT: (ComponentRecord, "_components"),
+    KIND_ASSEMBLY: (Assembly, "_assemblies"),
+    KIND_BOM: (Bom, "_boms"),
+}
+_STORE_KIND = {cls: kind for kind, (cls, _) in _RECORD_KINDS.items()}
+
 
 def wall_clock_ms() -> int:
     return int(time.time() * 1000)
@@ -120,7 +129,7 @@ class Gateway:
         self._components: dict[str, ComponentRecord] = {}
         self._assemblies: dict[str, Assembly] = {}
         self._boms: dict[str, Bom] = {}
-        for kind in (KIND_COMPONENT, KIND_ASSEMBLY, KIND_BOM):
+        for kind in _RECORD_KINDS:
             for record in self.store.scan(kind):
                 self._hold(record)
         # A BoL is stored only as its ledger entries, so each run is replayed
@@ -228,12 +237,14 @@ class Gateway:
 
     def _hold(self, record: StoredRecord | WriteOp) -> None:
         """Keep the typed form of a model record, decoded from its stored bytes."""
-        records, cls = {
-            KIND_COMPONENT: (self._components, ComponentRecord),
-            KIND_ASSEMBLY: (self._assemblies, Assembly),
-            KIND_BOM: (self._boms, Bom),
-        }[record.kind]
-        records[record.key] = cls.from_dict(from_canonical(record.data))
+        cls, held = _RECORD_KINDS[record.kind]
+        getattr(self, held)[record.key] = cls.from_dict(from_canonical(record.data))
+
+    @staticmethod
+    def _write(record: ComponentRecord | Assembly | Bom, expected_revision: int = 0) -> WriteOp:
+        """The store write of a model record: its kind and canonical bytes."""
+        kind = _STORE_KIND[type(record)]
+        return WriteOp(record.id, kind, canonical_bytes(record.to_dict()), expected_revision)
 
     def _commit(self, writes: list[WriteOp]) -> None:
         """Commit model records in one transaction, then hold what was stored."""
@@ -305,9 +316,7 @@ class Gateway:
                 description=description,
                 access_metadata=metadata,
             )
-            self._commit(
-                [WriteOp(component.id, KIND_COMPONENT, canonical_bytes(component.to_dict()), 0)]
-            )
+            self._commit([self._write(component)])
             # the caller holds exactly the stored (canonical) form
             return self._components[component.id]
 
@@ -321,23 +330,17 @@ class Gateway:
         output_artifacts: Iterable[str] = (),
     ) -> Assembly:
         model.require_name(name)
+        lists = (input_data, input_artifacts, output_data, output_artifacts)
+        members = {role[1]: tuple(ids) for role, ids in zip(model.ROLES, lists)}
         with self._lock:
-            model.check_assembly_lists(
-                input_data, input_artifacts, output_data, output_artifacts,
-                self.get_component,
-            )
+            model.check_assembly_lists(members, self.get_component)
             assembly = Assembly(
                 id=self.ids.new_id(idmod.ASSEMBLY),
                 name=name,
                 description=description,
-                input_data=tuple(input_data),
-                input_artifacts=tuple(input_artifacts),
-                output_data=tuple(output_data),
-                output_artifacts=tuple(output_artifacts),
+                **members,
             )
-            self._commit(
-                [WriteOp(assembly.id, KIND_ASSEMBLY, canonical_bytes(assembly.to_dict()), 0)]
-            )
+            self._commit([self._write(assembly)])
             return self._assemblies[assembly.id]
 
     def create_bom(
@@ -395,9 +398,7 @@ class Gateway:
                 bom = replace(bom, assemblies=new_ids)
             if expected_revision is None:
                 expected_revision = self.store.get(bom_id).revision
-            self._commit(
-                [WriteOp(bom_id, KIND_BOM, canonical_bytes(bom.to_dict()), expected_revision)]
-            )
+            self._commit([self._write(bom, expected_revision)])
             return self._boms[bom_id]
 
     # -- validation ---------------------------------------------------------
@@ -440,14 +441,8 @@ class Gateway:
             bol_id = self.ids.new_id(idmod.BOL)
             freeze = []
             if not bom.frozen:
-                frozen = replace(bom, frozen=True)
                 freeze.append(
-                    WriteOp(
-                        bom_id,
-                        KIND_BOM,
-                        canonical_bytes(frozen.to_dict()),
-                        expected_revision=self.store.get(bom_id).revision,
-                    )
+                    self._write(replace(bom, frozen=True), self.store.get(bom_id).revision)
                 )
             payload: dict[str, Any] = {
                 "bol_id": bol_id,

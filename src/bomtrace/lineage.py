@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from typing import Any, Iterable, Mapping
 
 from .ledger import Anchor
-from .model import Assembly, Bom, ComponentRecord, graph_edges
+from .model import ROLES, Assembly, Bom, ComponentRecord, graph_edges
 from .runtime import Observation
 
 GLOBAL_SCOPE = "global"
@@ -132,16 +132,10 @@ def component_uses(
 def assembly_detail(
     assembly: Assembly, components: Mapping[str, ComponentRecord]
 ) -> dict[str, Any]:
-    doc: dict[str, Any] = {"id": assembly.id, "name": assembly.name}
-    if assembly.description is not None:
-        doc["description"] = assembly.description
-    for key, members in (
-        ("inputData", assembly.input_data),
-        ("inputArtifacts", assembly.input_artifacts),
-        ("outputData", assembly.output_data),
-        ("outputArtifacts", assembly.output_artifacts),
-    ):
-        doc[key] = [components[cid].to_dict() for cid in members]
+    """Assembly with its component records expanded inline."""
+    doc = assembly.to_dict()
+    for key, _, _ in ROLES:
+        doc[key] = [components[cid].to_dict() for cid in doc[key]]
     return doc
 
 
@@ -151,14 +145,10 @@ def bom_detail(
     components: Mapping[str, ComponentRecord],
 ) -> dict[str, Any]:
     """BoM with assemblies and component records expanded inline."""
-    doc: dict[str, Any] = {"id": bom.id, "name": bom.name}
-    if bom.description is not None:
-        doc["description"] = bom.description
+    doc = bom.to_dict()
     doc["assemblies"] = [
         assembly_detail(assemblies_by_id[aid], components) for aid in bom.assemblies
     ]
-    doc["frozen"] = bom.frozen
-    doc["created_at"] = bom.created_at
     return doc
 
 

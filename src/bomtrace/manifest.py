@@ -2,8 +2,7 @@
 
 A manifest is a JSON document naming a BoM and its assemblies. Entries in an
 assembly's component lists are either objects declaring a new component
-(kind follows the list: inputData/outputData are data sources,
-inputArtifacts/outputArtifacts are artifacts) or strings referencing a
+(kind follows the list, as ``model.ROLES`` pairs them) or strings referencing a
 component declared elsewhere in the file by name, or an already-stored
 component by id. Assemblies may likewise be inline objects or existing
 assembly ids. Declared names must be unique within the file.
@@ -32,9 +31,9 @@ from __future__ import annotations
 from typing import Any
 
 from . import ids as idmod
-from .canonical import canonical_bytes
 from .errors import DanglingRef, MalformedBody, ValidationFailed
 from .model import (
+    ROLES,
     Assembly,
     Bom,
     ComponentKind,
@@ -44,17 +43,9 @@ from .model import (
     require_name,
     validate_structure,
 )
-from .store import KIND_ASSEMBLY, KIND_BOM, KIND_COMPONENT, WriteOp
-
-_LIST_KINDS = {
-    "inputData": ComponentKind.DATA_SOURCE,
-    "inputArtifacts": ComponentKind.ARTIFACT,
-    "outputData": ComponentKind.DATA_SOURCE,
-    "outputArtifacts": ComponentKind.ARTIFACT,
-}
 
 _COMPONENT_KEYS = {"name", "kind", "description", "metadata"}
-_ASSEMBLY_KEYS = {"name", "description", "inputData", "inputArtifacts", "outputData", "outputArtifacts"}
+_ASSEMBLY_KEYS = {"name", "description", *(key for key, _, _ in ROLES)}
 _MANIFEST_KEYS = {"name", "description", "components", "assemblies"}
 
 
@@ -150,24 +141,16 @@ class _Compiler:
         unknown = set(doc) - _ASSEMBLY_KEYS
         _require(not unknown, f"unknown assembly keys: {sorted(unknown)}")
         self._claim_name(doc.get("name", ""))
-        lists: dict[str, list[str]] = {}
-        for key, kind in _LIST_KINDS.items():
-            lists[key] = [self._resolve_entry(entry, kind) for entry in _list(doc, key)]
-        check_assembly_lists(
-            lists["inputData"],
-            lists["inputArtifacts"],
-            lists["outputData"],
-            lists["outputArtifacts"],
-            self._lookup_pending_or_stored,
-        )
+        members = {
+            attribute: tuple(self._resolve_entry(entry, kind) for entry in _list(doc, key))
+            for key, attribute, kind in ROLES
+        }
+        check_assembly_lists(members, self._lookup_pending_or_stored)
         assembly = Assembly(
             id=self.gateway.ids.new_id(idmod.ASSEMBLY),
             name=doc["name"],
             description=_description(doc),
-            input_data=tuple(lists["inputData"]),
-            input_artifacts=tuple(lists["inputArtifacts"]),
-            output_data=tuple(lists["outputData"]),
-            output_artifacts=tuple(lists["outputArtifacts"]),
+            **members,
         )
         self.new_assemblies.append(assembly)
         return assembly.id
@@ -216,16 +199,8 @@ class _Compiler:
             frozen=False,
             created_at=now,
         )
-        writes = [
-            WriteOp(c.id, KIND_COMPONENT, canonical_bytes(c.to_dict()), 0)
-            for c in self.new_components
-        ]
-        writes += [
-            WriteOp(a.id, KIND_ASSEMBLY, canonical_bytes(a.to_dict()), 0)
-            for a in self.new_assemblies
-        ]
-        writes.append(WriteOp(bom.id, KIND_BOM, canonical_bytes(bom.to_dict()), 0))
-        self.gateway._commit(writes)
+        records = [*self.new_components, *self.new_assemblies, bom]
+        self.gateway._commit([self.gateway._write(record) for record in records])
         return bom
 
 

@@ -6,6 +6,9 @@ of assemblies describing one system. Structural validation treats all stored
 BoMs as a single shared graph, because components may feed assemblies in
 other BoMs: output edges must stay acyclic and every component may have at
 most one producing assembly anywhere.
+
+``ROLES`` is the one table of an assembly's four component lists: each
+list's JSON key, its ``Assembly`` attribute and the component kind it holds.
 """
 
 from __future__ import annotations
@@ -14,7 +17,7 @@ import unicodedata
 from dataclasses import dataclass, field
 from enum import Enum
 from types import MappingProxyType
-from typing import Any, Callable, Iterable, Mapping
+from typing import Any, Callable, Iterable, Iterator, Mapping, Sequence
 
 from . import ids
 from .errors import (
@@ -36,6 +39,16 @@ class ComponentKind(str, Enum):
     def id_prefix(self) -> str:
         return ids.DATA_SOURCE if self is ComponentKind.DATA_SOURCE else ids.ARTIFACT
 
+
+# An assembly's component lists, in document order: JSON key, Assembly
+# attribute, and the one kind of component the list may hold. Inline
+# components of a manifest are declared in this order, so ids depend on it.
+ROLES: tuple[tuple[str, str, ComponentKind], ...] = (
+    ("inputData", "input_data", ComponentKind.DATA_SOURCE),
+    ("inputArtifacts", "input_artifacts", ComponentKind.ARTIFACT),
+    ("outputData", "output_data", ComponentKind.DATA_SOURCE),
+    ("outputArtifacts", "output_artifacts", ComponentKind.ARTIFACT),
+)
 
 VIOLATION_DANGLING_REF = "dangling_ref"
 VIOLATION_KIND_MISMATCH = "kind_mismatch"
@@ -98,10 +111,8 @@ class Assembly:
         doc: dict[str, Any] = {"id": self.id, "name": self.name}
         if self.description is not None:
             doc["description"] = self.description
-        doc["inputData"] = list(self.input_data)
-        doc["inputArtifacts"] = list(self.input_artifacts)
-        doc["outputData"] = list(self.output_data)
-        doc["outputArtifacts"] = list(self.output_artifacts)
+        for key, attribute, _ in ROLES:
+            doc[key] = list(getattr(self, attribute))
         return doc
 
     @classmethod
@@ -110,10 +121,7 @@ class Assembly:
             id=doc["id"],
             name=doc["name"],
             description=doc.get("description"),
-            input_data=tuple(doc["inputData"]),
-            input_artifacts=tuple(doc["inputArtifacts"]),
-            output_data=tuple(doc["outputData"]),
-            output_artifacts=tuple(doc["outputArtifacts"]),
+            **{attribute: tuple(doc[key]) for key, attribute, _ in ROLES},
         )
 
 
@@ -206,35 +214,37 @@ def normalize_metadata(metadata: Any) -> dict[str, str]:
     return out
 
 
+def member_refs(
+    members: Mapping[str, Sequence[str]],
+    get_component: Callable[[str], ComponentRecord | None],
+) -> Iterator[tuple[str, str, ComponentRecord | None, ComponentKind]]:
+    """(role, component id, record or None, expected kind) per listed member.
+
+    ``members`` maps ``Assembly`` attributes to lists, as ``vars(assembly)`` does.
+    """
+    for key, attribute, kind in ROLES:
+        for cid in members[attribute]:
+            yield key, cid, get_component(cid), kind
+
+
 def check_assembly_lists(
-    input_data: Iterable[str],
-    input_artifacts: Iterable[str],
-    output_data: Iterable[str],
-    output_artifacts: Iterable[str],
+    members: Mapping[str, tuple[str, ...]],
     get_component: Callable[[str], ComponentRecord | None],
 ) -> None:
     """Creation-time integrity checks for an assembly's component lists."""
-    lists = {
-        "inputData": (tuple(input_data), ComponentKind.DATA_SOURCE),
-        "inputArtifacts": (tuple(input_artifacts), ComponentKind.ARTIFACT),
-        "outputData": (tuple(output_data), ComponentKind.DATA_SOURCE),
-        "outputArtifacts": (tuple(output_artifacts), ComponentKind.ARTIFACT),
-    }
-    for role, (members, expected_kind) in lists.items():
-        for cid in members:
-            component = get_component(cid)
-            if component is None:
-                raise DanglingRef(
-                    f"{role} references unknown component {cid}", detail={"id": cid}
-                )
-            if component.kind is not expected_kind:
-                raise KindMismatch(
-                    f"{role} expects kind {expected_kind.value}, but {cid} is "
-                    f"{component.kind.value}",
-                    detail={"id": cid},
-                )
-    inputs = lists["inputData"][0] + lists["inputArtifacts"][0]
-    outputs = lists["outputData"][0] + lists["outputArtifacts"][0]
+    for role, cid, component, expected_kind in member_refs(members, get_component):
+        if component is None:
+            raise DanglingRef(
+                f"{role} references unknown component {cid}", detail={"id": cid}
+            )
+        if component.kind is not expected_kind:
+            raise KindMismatch(
+                f"{role} expects kind {expected_kind.value}, but {cid} is "
+                f"{component.kind.value}",
+                detail={"id": cid},
+            )
+    inputs = members["input_data"] + members["input_artifacts"]
+    outputs = members["output_data"] + members["output_artifacts"]
     overlap = set(inputs) & set(outputs)
     if overlap:
         cid = sorted(overlap)[0]
@@ -344,30 +354,23 @@ def validate_structure(
 
     # re-check component refs as a pure read (creation already enforced them)
     for assembly in member_assemblies.values():
-        for role, members, expected in (
-            ("inputData", assembly.input_data, ComponentKind.DATA_SOURCE),
-            ("inputArtifacts", assembly.input_artifacts, ComponentKind.ARTIFACT),
-            ("outputData", assembly.output_data, ComponentKind.DATA_SOURCE),
-            ("outputArtifacts", assembly.output_artifacts, ComponentKind.ARTIFACT),
-        ):
-            for cid in members:
-                component = get_component(cid)
-                if component is None:
-                    violations.append(
-                        Violation(
-                            VIOLATION_DANGLING_REF,
-                            cid,
-                            f"{role} of {assembly.id} references a missing component",
-                        )
+        for role, cid, component, expected in member_refs(vars(assembly), get_component):
+            if component is None:
+                violations.append(
+                    Violation(
+                        VIOLATION_DANGLING_REF,
+                        cid,
+                        f"{role} of {assembly.id} references a missing component",
                     )
-                elif component.kind is not expected:
-                    violations.append(
-                        Violation(
-                            VIOLATION_KIND_MISMATCH,
-                            cid,
-                            f"{role} of {assembly.id} expects {expected.value}",
-                        )
+                )
+            elif component.kind is not expected:
+                violations.append(
+                    Violation(
+                        VIOLATION_KIND_MISMATCH,
+                        cid,
+                        f"{role} of {assembly.id} expects {expected.value}",
                     )
+                )
 
     producers: dict[str, set[str]] = {}
     for assembly in member_assemblies.values():
