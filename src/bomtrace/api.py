@@ -184,10 +184,9 @@ def _inclusion_proof(gw: Gateway, params, query, body):
     except ValueError:
         raise MalformedBody("leaf index must be an integer") from None
     leaf, proof = gw.inclusion_proof(params["id"], leaf_index)
-    bol = gw.get_bol(params["id"])
     return {
         "leaf_b64": base64.b64encode(leaf).decode("ascii"),
-        "merkle_root": bol.anchor.merkle_root,
+        "merkle_root": gw.get_anchor(params["id"]).merkle_root,
         "proof": proof.to_dict(),
     }
 

@@ -266,6 +266,12 @@ class Gateway:
             run = self._runs.get(bol_id)
             return run.snapshot() if run is not None else None
 
+    def get_anchor(self, bol_id: str) -> Anchor | None:
+        """A BoL's anchor, without copying its observations; None until sealed."""
+        with self._lock:
+            run = self._runs.get(bol_id)
+            return run.header.anchor if run is not None else None
+
     def _require_component(self, component_id: str) -> ComponentRecord:
         component = self.get_component(component_id)
         if component is None:
@@ -548,7 +554,7 @@ class Gateway:
                 raise UnknownId(f"unknown component or assembly {node_id}", detail={"id": node_id})
             edges = self._graph_edges(scope)
             if scope != lineage.GLOBAL_SCOPE:
-                in_scope = {n for edge in edges for n in edge}
+                in_scope = set()
                 for aid in self._require_bom(scope).assemblies:
                     in_scope.add(aid)
                     in_scope.update(self._assemblies[aid].components)

@@ -26,6 +26,9 @@ class _Handler(BaseHTTPRequestHandler):
     # TCP_NODELAY: without it, a response written after the client's last
     # segment waits for the client's delayed ACK (about 40 ms on Linux)
     disable_nagle_algorithm = True
+    # seconds a connection may stall in a request line, header block or body;
+    # handle_one_request then logs the TimeoutError and closes the connection
+    timeout = 30
 
     def _handle(self, method: str) -> None:
         parts = urlsplit(self.path)

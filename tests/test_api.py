@@ -6,6 +6,7 @@ from bomtrace.api import ERROR_STATUS, MAX_BODY_BYTES, ROUTES, build_schema, dis
 from bomtrace.canonical import canonical_bytes
 from bomtrace.errors import StorageFailure
 from bomtrace.gateway import Gateway
+from bomtrace.model import ROLES
 from conftest import HPC_MANIFEST
 
 # endpoints promised by the external contract, verbatim
@@ -316,6 +317,15 @@ def test_schema_error_codes_equal_closed_set(gw):
         assert info["status"] == ERROR_STATUS[code]
     route_errors = {code for r in schema["routes"] for code in r["errors"]}
     assert route_errors <= set(ERROR_STATUS)
+
+
+def test_assembly_schema_keys_are_the_role_table(gw):
+    _, schema, _ = call(gw, "GET", "/schema")
+    routes = {(r["method"], r["path"]): r for r in schema["routes"]}
+    roles = {key for key, _, _ in ROLES}
+    assert set(routes["POST", "/assemblies"]["request"]) == {"name", "description"} | roles
+    assert set(routes["GET", "/assemblies/{id}"]["response"]) == {
+        "id", "name", "description"} | roles
 
 
 def test_schema_stable_across_restarts(tmp_path):

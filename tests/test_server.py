@@ -214,6 +214,31 @@ def test_unexpected_exception_is_answered_and_connection_kept(server, monkeypatc
         conn.close()
 
 
+@pytest.mark.parametrize("request_bytes", [
+    b"POST /components HTTP/1.1\r\nHost: localhost\r\nContent-Length: 100\r\n\r\n"
+    b'{"kind":',
+    b"GET /heal",
+], ids=["short_body", "partial_request_line"])
+def test_stalled_request_closes_its_connection(server, monkeypatch, request_bytes):
+    assert 0 < server_module._Handler.timeout <= 60  # the served timeout is finite
+    monkeypatch.setattr(server_module._Handler, "timeout", 0.2)
+    threads = threading.active_count()
+    with socket.create_connection(server.server_address, timeout=5) as sock:
+        sock.sendall(request_bytes)
+        started = time.monotonic()
+        assert sock.recv(1) == b""  # closed unanswered
+        assert time.monotonic() - started < 2
+    deadline = time.monotonic() + 2
+    while threading.active_count() > threads and time.monotonic() < deadline:
+        time.sleep(0.01)
+    assert threading.active_count() == threads  # the handler thread ended
+    conn = http.client.HTTPConnection(*server.server_address, timeout=5)
+    try:
+        assert _round_trip(conn, "GET", "/healthz") == (200, {"status": "ok"})
+    finally:
+        conn.close()
+
+
 @pytest.mark.parametrize("log", [
     b'{"writes":[{"data_b64":"abc","key":"k","kind":"component","revision":1}]}\n',
     b'{"writes":[{"key":"k","kind":"component","revision":1}]}\t{}\t{}\n',
