@@ -187,6 +187,15 @@ def test_assembly_round_trips_every_role(description):
     assert Assembly.from_dict(doc) == assembly
 
 
+def test_assembly_lists_may_be_one_shot_iterables(gw):
+    d = gw.create_component("data_source", "d")
+    a = gw.create_component("artifact", "a")
+    assembly = gw.create_assembly("once", input_data=iter([d.id]),
+                                  output_artifacts=(cid for cid in [a.id]))
+    assert assembly.input_data == (d.id,)  # checked and stored, not consumed by the check
+    assert assembly.output_artifacts == (a.id,)
+
+
 def test_assembly_preserves_list_order(gw):
     names = [gw.create_component("data_source", f"d{i}").id for i in range(4)]
     assembly = gw.create_assembly("ordered", input_data=[names[2], names[0], names[3]])
