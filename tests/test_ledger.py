@@ -224,6 +224,39 @@ def test_missing_entry_detected(store):
     assert not ok and first_bad == 1
 
 
+def _rewritten(store):
+    record = store.get(f"le_{4:016d}")
+    store.put(record.key, record.kind, record.data.replace(b'"n":4', b'"n":5'))
+
+
+def _inserted_out_of_order(store):
+    # sorts between entries 4 and 5, and holds entry 7 again
+    store.put(f"le_{4:016d}x", KIND_LEDGER_ENTRY, store.get(f"le_{7:016d}").data)
+
+
+def _missing(store):
+    # a key that changes kind leaves the ledger's scan
+    record = store.get(f"le_{4:016d}")
+    store.put(record.key, "component", record.data)
+
+
+@pytest.mark.parametrize(
+    "tamper, first_bad",
+    [(_rewritten, 4), (_inserted_out_of_order, 5), (_missing, 4)],
+    ids=["rewritten", "inserted_out_of_order", "missing"],
+)
+def test_tamper_after_a_warm_audit_is_found_where_a_fresh_one_finds_it(
+    store, tamper, first_bad
+):
+    ledger = Ledger(store)
+    for i in range(10):
+        ledger.append_entry(OBSERVATION_RECORDED, _payload(i))
+    assert ledger.verify_chain() == (True, None)  # every record is now in the memo
+    tamper(store)
+    assert ledger.verify_chain() == (False, first_bad)
+    assert Ledger(store).verify_chain() == (False, first_bad)
+
+
 def test_export_is_reproducible_ndjson(tmp_path):
     def build(path):
         with Store(path) as store:

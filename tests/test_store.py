@@ -287,6 +287,45 @@ def test_put_many_batches_read_back_after_reopen(tmp_path_factory, batches):
         check(store)
 
 
+# a few keys and kinds, so that keys are rewritten and change kind
+_SCAN_WRITES = st.lists(
+    st.tuples(st.sampled_from(["a", "b", "le_1", "le_2", "le_10", "\u00e9"]),
+              st.sampled_from(["component", "bom", "ledger_entry"]),
+              st.sampled_from([b"{}", b"\t", b"x"])),
+    min_size=1, max_size=4,
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.tuples(_SCAN_WRITES, st.booleans()), max_size=8), st.booleans())
+def test_scan_is_a_sort_of_the_records_of_its_kind(tmp_path_factory, batches, reopen):
+    path = tmp_path_factory.mktemp("scan")
+    keys: set[str] = set()
+
+    def check(store):
+        held = [store.get(key) for key in sorted(keys)]
+        for kind in ("component", "bom", "ledger_entry", "bol"):
+            expected = sorted((r for r in held if r.kind == kind), key=lambda r: r.key)
+            scanned = store.scan(kind)
+            assert type(scanned) is list
+            assert scanned == expected
+            # the store's own record objects, which the ledger's memo compares by identity
+            assert all(mine is theirs for mine, theirs in zip(scanned, expected))
+
+    with Store(path) as store:
+        for batch, one_by_one in batches:
+            if one_by_one:
+                for key, kind, data in batch:
+                    store.put(key, kind, data)
+            else:
+                store.put_many([WriteOp(key, kind, data) for key, kind, data in batch])
+            keys.update(key for key, _, _ in batch)
+            check(store)
+    if reopen:
+        with Store(path) as store:
+            check(store)
+
+
 def test_every_write_makes_a_new_record(tmp_path):
     with Store(tmp_path) as store:
         store.put("k", "component", b"{}")
