@@ -485,26 +485,39 @@ def build_schema(base_path: str = "") -> dict[str, Any]:
 # -- dispatcher ----------------------------------------------------------
 
 
+def _route_table(routes: tuple[Route, ...]) -> dict[int, list[tuple[Route, tuple, tuple]]]:
+    """Each route with its (position, literal) and (position, parameter) segments.
+
+    Routes are grouped by segment count, in ``ROUTES`` order within a group.
+    """
+    table: dict[int, list[tuple[Route, tuple, tuple]]] = {}
+    for route in routes:
+        pattern = [s for s in route.path.split("/") if s != ""]
+        literals, names = [], []
+        for pos, pat in enumerate(pattern):
+            if pat.startswith("{") and pat.endswith("}"):
+                names.append((pos, pat[1:-1]))
+            else:
+                literals.append((pos, pat))
+        table.setdefault(len(pattern), []).append((route, tuple(literals), tuple(names)))
+    return table
+
+
+_ROUTE_TABLE = _route_table(ROUTES)
+
+
 def _match(method: str, path: str) -> tuple[Route | None, dict[str, str], bool]:
     """Returns (route, params, path_known). path_known distinguishes 405-ish."""
     segments = [s for s in path.split("/") if s != ""]
     path_known = False
-    for route in ROUTES:
-        pattern = [s for s in route.path.split("/") if s != ""]
-        if len(pattern) != len(segments):
-            continue
-        params: dict[str, str] = {}
-        matched = True
-        for pat, seg in zip(pattern, segments):
-            if pat.startswith("{") and pat.endswith("}"):
-                params[pat[1:-1]] = seg
-            elif pat != seg:
-                matched = False
+    for route, literals, names in _ROUTE_TABLE.get(len(segments), ()):
+        for pos, literal in literals:
+            if segments[pos] != literal:
                 break
-        if matched:
+        else:
             path_known = True
             if route.method == method:
-                return route, params, True
+                return route, {name: segments[pos] for pos, name in names}, True
     return None, {}, path_known
 
 

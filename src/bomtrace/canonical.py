@@ -21,6 +21,8 @@ from typing import Any
 
 # the scanner that json.loads runs, called without its Python wrappers
 _scan_once = make_scanner(json.JSONDecoder())
+# json.dumps with these options builds an encoder on every call
+_encode = json.JSONEncoder(ensure_ascii=False, sort_keys=True, separators=(",", ":")).encode
 
 
 class CanonicalEncodingError(ValueError):
@@ -58,10 +60,7 @@ def canonical_encode(value: Any) -> tuple[Any, bytes]:
     bytes, up to key order, so a caller that needs both encodes once.
     """
     normalized = _normalize(value)
-    text = json.dumps(
-        normalized, ensure_ascii=False, sort_keys=True, separators=(",", ":")
-    )
-    return normalized, text.encode("utf-8")
+    return normalized, _encode(normalized).encode("utf-8")
 
 
 def canonical_bytes(value: Any) -> bytes:

@@ -71,18 +71,21 @@ class _Run:
     ``header`` carries the id, BoM, label, status and anchor, with no shadow
     items; the observations are appended in place, in ledger order. ``leaves``
     holds, next to each observation, its anchor leaf: the payload bytes its
-    ledger entry committed, or None for one replayed at open. ``tree`` holds
-    the anchor leaves and the Merkle levels over them, built on first use;
-    ``Gateway._apply`` drops it whenever an observation is added, so it
-    always covers the observations held.
+    ledger entry committed, or None for one replayed at open. ``digests``
+    holds each leaf's ``ledger.leaf_digest`` beside it: hashed at commit, or
+    None until a replayed leaf is encoded. ``tree`` holds the anchor leaves
+    and the Merkle levels over them, built on first use; ``Gateway._apply``
+    drops it whenever an observation is added, so it always covers the
+    observations held.
     """
 
-    __slots__ = ("header", "observations", "leaves", "tree")
+    __slots__ = ("header", "observations", "leaves", "digests", "tree")
 
     def __init__(self, header: Bol, component_ids: Iterable[str]):
         self.header = header
         self.observations: dict[str, list[Observation]] = {cid: [] for cid in component_ids}
         self.leaves: dict[str, list[bytes | None]] = {cid: [] for cid in self.observations}
+        self.digests: dict[str, list[bytes | None]] = {cid: [] for cid in self.observations}
         self.tree: tuple[list[bytes], list[list[bytes]]] | None = None
 
     def merkle_tree(self) -> tuple[list[bytes], list[list[bytes]]]:
@@ -90,19 +93,24 @@ class _Run:
 
         The leaves are those of ``runtime.bol_leaves``. A replayed
         observation's leaf is encoded from its position, as that function
-        does, not taken from its entry, whose ``observation_index`` may lie.
+        does, not taken from its entry, whose ``observation_index`` may lie;
+        it and its digest are kept from the first build on.
         """
         if self.tree is None:
-            leaves = [runtime.bol_header_bytes(self.header)]
+            header = runtime.bol_header_bytes(self.header)
+            leaves, digests = [header], [ledgermod.leaf_digest(header)]
             for cid in sorted(self.observations):
-                slots = zip(self.observations[cid], self.leaves[cid])
-                for position, (observation, leaf) in enumerate(slots):
-                    if leaf is None:
-                        leaf = runtime.observation_record_bytes(
-                            self.header.id, cid, position, observation
-                        )
-                    leaves.append(leaf)
-            self.tree = (leaves, ledgermod.merkle_levels(leaves))
+                held, hashed = self.leaves[cid], self.digests[cid]
+                if None in held:
+                    for position, observation in enumerate(self.observations[cid]):
+                        if held[position] is None:
+                            held[position] = runtime.observation_record_bytes(
+                                self.header.id, cid, position, observation
+                            )
+                            hashed[position] = ledgermod.leaf_digest(held[position])
+                leaves += held
+                digests += hashed
+            self.tree = (leaves, ledgermod.digest_levels(digests))
         return self.tree
 
     def snapshot(self) -> Bol:
@@ -189,7 +197,8 @@ class Gateway:
         names an unknown BoM, BoL or shadow item, or whose fields a run cannot
         hold, raises KeyError, TypeError or ValueError. Observations take their
         index from their position in ledger order. ``leaf`` is the payload bytes
-        a new observation's entry committed, kept as its anchor leaf.
+        a new observation's entry committed, kept as its anchor leaf and
+        hashed here, once.
         """
         if entry_type == ledgermod.BOL_CREATED:
             header = Bol(
@@ -219,6 +228,7 @@ class Gateway:
                 raise TypeError(f"ledger entry {index} is not an observation")
             observations.append(observation)
             run.leaves[cid].append(leaf)
+            run.digests[cid].append(None if leaf is None else ledgermod.leaf_digest(leaf))
             run.tree = None
         elif entry_type == ledgermod.BOL_SEALED:
             run = self._runs[doc["bol_id"]]
@@ -439,17 +449,19 @@ class Gateway:
     ) -> Bol:
         with self._lock:
             bom = self._require_bom(bom_id)
-            report = self._validate(bom.assemblies, candidate_bom_id=bom_id)
-            if not report.ok:
-                raise ValidationFailed(
-                    "BoM failed validation", detail={"report": report.to_dict()}
-                )
-            bol_id = self.ids.new_id(idmod.BOL)
             freeze = []
             if not bom.frozen:
+                # a frozen BoM passed this check when it froze, and every BoM
+                # stored since was validated against it, so it still passes
+                report = self._validate(bom.assemblies, candidate_bom_id=bom_id)
+                if not report.ok:
+                    raise ValidationFailed(
+                        "BoM failed validation", detail={"report": report.to_dict()}
+                    )
                 freeze.append(
                     self._write(replace(bom, frozen=True), self.store.get(bom_id).revision)
                 )
+            bol_id = self.ids.new_id(idmod.BOL)
             payload: dict[str, Any] = {
                 "bol_id": bol_id,
                 "bom_id": bom_id,
@@ -592,20 +604,20 @@ class Gateway:
 
     def lineage_report(self, bol_id: str) -> lineage.LineageReport:
         with self._lock:
-            bol = self._require_bol(bol_id)
-            bom = self._require_bom(bol.bom_id)
+            run = self._require_run(bol_id)
+            bom = self._require_bom(run.header.bom_id)
             static = lineage.bom_static_graph(
                 bom, [self._assemblies[aid] for aid in bom.assemblies]
             )
             dynamic = {
-                cid: item.observations for cid, item in bol.shadow_items.items()
+                cid: tuple(observations) for cid, observations in run.observations.items()
             }
             return lineage.LineageReport(
                 bol_id=bol_id,
                 static_graph=static,
                 dynamic=dynamic,
-                anchor=bol.anchor,
-                bom_snapshot=self.bom_detail(bol.bom_id),
+                anchor=run.header.anchor,
+                bom_snapshot=self.bom_detail(bom.id),
             )
 
     # -- ledger ---------------------------------------------------------------

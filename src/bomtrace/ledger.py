@@ -18,6 +18,7 @@ and internal preimages disjoint.
 from __future__ import annotations
 
 import hashlib
+import operator
 from dataclasses import dataclass
 from typing import Any, Sequence
 
@@ -157,20 +158,29 @@ def node_digest(left: bytes, right: bytes) -> bytes:
 
 
 def _next_level(level: list[bytes]) -> list[bytes]:
-    nxt = [node_digest(level[i], level[i + 1]) for i in range(0, len(level) - 1, 2)]
+    sha256 = hashlib.sha256
+    nxt = [
+        sha256(_NODE_PREFIX + left + right).digest()
+        for left, right in zip(level[::2], level[1::2])
+    ]
     if len(level) % 2 == 1:
         nxt.append(level[-1])
     return nxt
 
 
-def merkle_levels(leaves: Sequence[bytes]) -> list[list[bytes]]:
-    """Every level of the tree over leaf byte strings: leaf digests first, root last."""
-    if not leaves:
+def digest_levels(digests: list[bytes]) -> list[list[bytes]]:
+    """Every level of the tree over leaf digests: ``digests`` first, root last."""
+    if not digests:
         raise ValueError("merkle tree needs at least one leaf")
-    levels = [[leaf_digest(data) for data in leaves]]
+    levels = [digests]
     while len(levels[-1]) > 1:
         levels.append(_next_level(levels[-1]))
     return levels
+
+
+def merkle_levels(leaves: Sequence[bytes]) -> list[list[bytes]]:
+    """Every level of the tree over leaf byte strings: leaf digests first, root last."""
+    return digest_levels([leaf_digest(data) for data in leaves])
 
 
 def merkle_root(leaves: Sequence[bytes]) -> str:
@@ -328,9 +338,7 @@ class Ledger:
         """
         records = self._store.scan(KIND_LEDGER_ENTRY)
         verified = self._verified
-        if len(verified) > len(records) or any(
-            mine is not stored for mine, stored in zip(verified, records)
-        ):
+        if len(verified) > len(records) or not all(map(operator.is_, verified, records)):
             verified.clear()
             self._verified_head = GENESIS_HASH
         prev = self._verified_head
@@ -355,11 +363,11 @@ class Ledger:
     def export(self) -> bytes:
         """Newline-delimited canonical JSON, one entry per line, index order.
 
-        Each stored entry record already is its canonical line.
+        Each stored entry record already is its canonical line. One join
+        builds the result; the empty last item ends the last line.
         """
-        return b"".join(
-            record.data + b"\n" for record in self._store.scan(KIND_LEDGER_ENTRY)
-        )
+        records = self._store.scan(KIND_LEDGER_ENTRY)
+        return b"\n".join([*map(operator.attrgetter("data"), records), b""])
 
     @property
     def count(self) -> int:

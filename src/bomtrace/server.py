@@ -19,6 +19,11 @@ from .gateway import Gateway
 
 logger = logging.getLogger(__name__)
 
+# bounds on a chunked body's framing lines, as http.client sets for headers
+_MAX_LINE = 65536
+_MAX_TRAILERS = 100
+_HEXDIGITS = b"0123456789abcdefABCDEF"
+
 
 class _Handler(BaseHTTPRequestHandler):
     protocol_version = "HTTP/1.1"
@@ -32,20 +37,13 @@ class _Handler(BaseHTTPRequestHandler):
 
     def _handle(self, method: str) -> None:
         parts = urlsplit(self.path)
-        header = self.headers.get("Content-Length") or "0"
         try:
-            length = int(header)
-        except ValueError:
-            length = -1
-        if length < 0 or length > MAX_BODY_BYTES:
-            # the body is not read, so the next request cannot be framed
+            body = self._read_body()
+        except (MalformedBody, BodyTooLarge) as exc:
+            # the body is not read to its end, so the next request cannot be framed
             self.close_connection = True
-            self._reply(*error_response(
-                MalformedBody(f"bad Content-Length {header!r}") if length < 0
-                else BodyTooLarge(f"request body of {length} bytes exceeds {MAX_BODY_BYTES}")
-            ))
+            self._reply(*error_response(exc))
             return
-        body = self.rfile.read(length) if length else None
         self._reply(*dispatch(
             self.server.gateway,
             method,
@@ -56,6 +54,62 @@ class _Handler(BaseHTTPRequestHandler):
             body,
             base_path=self.server.base_path,
         ))
+
+    def _read_body(self) -> bytes | None:
+        """The request body, framed by ``Transfer-Encoding: chunked`` or ``Content-Length``.
+
+        A request may carry one of the two headers, not both (RFC 9112 §6.1,
+        §6.3), and ``chunked`` is the only transfer coding read.
+        """
+        codings = self.headers.get_all("Transfer-Encoding")
+        header = self.headers.get("Content-Length")
+        if codings is not None:
+            if header is not None:
+                raise MalformedBody("request carries both Transfer-Encoding and Content-Length")
+            if [c.strip().lower() for c in ",".join(codings).split(",")] != ["chunked"]:
+                raise MalformedBody(f"unsupported Transfer-Encoding {', '.join(codings)!r}")
+            return self._read_chunked()
+        header = header or "0"
+        try:
+            length = int(header)
+        except ValueError:
+            length = -1
+        if length < 0:
+            raise MalformedBody(f"bad Content-Length {header!r}")
+        if length > MAX_BODY_BYTES:
+            raise BodyTooLarge(f"request body of {length} bytes exceeds {MAX_BODY_BYTES}")
+        return self.rfile.read(length) if length else None
+
+    def _read_line(self, what: str) -> bytes:
+        """One CRLF-terminated line of a chunked body, without its CRLF."""
+        line = self.rfile.readline(_MAX_LINE + 1)
+        if len(line) > _MAX_LINE or not line.endswith(b"\r\n"):
+            raise MalformedBody(f"malformed {what} in chunked body")
+        return line[:-2]
+
+    def _read_chunked(self) -> bytes:
+        """Decode a chunked body (RFC 9112 §7.1), at most ``MAX_BODY_BYTES`` of it.
+
+        Chunk extensions and trailer fields are read and dropped.
+        """
+        body = bytearray()
+        while True:
+            size = self._read_line("chunk size").split(b";", 1)[0].rstrip(b" \t")
+            if not size or size.strip(_HEXDIGITS):
+                raise MalformedBody(f"bad chunk size {size[:20]!r}")
+            length = int(size, 16)
+            if length == 0:
+                break
+            if len(body) + length > MAX_BODY_BYTES:
+                raise BodyTooLarge(f"chunked request body exceeds {MAX_BODY_BYTES} bytes")
+            chunk = self.rfile.read(length + 2)
+            if len(chunk) != length + 2 or not chunk.endswith(b"\r\n"):
+                raise MalformedBody("chunk data does not end where its size says")
+            body += chunk[:-2]
+        for _ in range(_MAX_TRAILERS + 1):
+            if not self._read_line("trailer field"):
+                return bytes(body)
+        raise MalformedBody(f"more than {_MAX_TRAILERS} trailer fields")
 
     def _reply(self, status: int, content_type: str, payload: bytes) -> None:
         self.send_response(status)

@@ -26,8 +26,9 @@ split the header and the records. A key or kind reads back exactly as it was
 written.
 
 The store is a plain keyed log: reads are by key, or every record of one kind
-in key order. Indexes over record contents belong to the layers that know
-what the records mean.
+in key order. The records are held per kind as well as per key, so a scan
+costs the records of its own kind, not the whole store. Indexes over record
+contents belong to the layers that know what the records mean.
 """
 
 from __future__ import annotations
@@ -37,6 +38,7 @@ import json
 import logging
 import os
 import threading
+from collections import defaultdict
 from dataclasses import dataclass
 from pathlib import Path
 from typing import NamedTuple
@@ -83,9 +85,12 @@ class WriteOp:
     expected_revision: int | None = None
 
 
+_encode = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
+
+
 def _json_bytes(value: dict) -> bytes:
     """Sorted keys, no whitespace, ASCII only: never a raw TAB or LF."""
-    return json.dumps(value, sort_keys=True, separators=(",", ":")).encode("ascii")
+    return _encode(value).encode("ascii")
 
 
 class Store:
@@ -96,6 +101,8 @@ class Store:
         self._path = self._dir / LOG_NAME
         self._lock = threading.RLock()
         self._records: dict[str, StoredRecord] = {}
+        # the same records per kind; a key is held under its current kind only
+        self._by_kind: defaultdict[str, dict[str, StoredRecord]] = defaultdict(dict)
         self._transactions = 0  # committed log lines
         self._broken: str | None = None  # why writes are refused, if they are
         try:
@@ -131,6 +138,9 @@ class Store:
                         f"corrupt store log at byte {offset}: {exc}"
                     ) from exc
             offset += len(line) + 1
+        # the per-kind index, in one pass over the records the log left current
+        for record in self._records.values():
+            self._by_kind[record.kind][record.key] = record
         if end < len(raw):
             # torn tail from a crash mid-append; drop it
             logger.warning("discarding torn trailing record in %s", self._path)
@@ -207,7 +217,12 @@ class Store:
             self._size += len(line)
             self._transactions += 1
             for op, revision in zip(writes, revisions):
-                self._records[op.key] = StoredRecord(op.key, op.kind, op.data, revision)
+                old = self._records.get(op.key)
+                if old is not None and old.kind != op.kind:
+                    del self._by_kind[old.kind][op.key]  # it leaves its old kind's scans
+                self._records[op.key] = self._by_kind[op.kind][op.key] = StoredRecord(
+                    op.key, op.kind, op.data, revision
+                )
             return revisions
 
     def _cut_back(self, cause: OSError) -> None:
@@ -233,12 +248,14 @@ class Store:
             return key in self._records
 
     def scan(self, kind: str) -> list[StoredRecord]:
-        """Records of ``kind`` in ascending key order."""
+        """The current records of ``kind``, in ascending key order.
+
+        Records compare by their key first, and keys are unique, so the sort
+        needs no key function. It is linear when keys arrive in order, as a
+        ledger's do.
+        """
         with self._lock:
-            return sorted(
-                (record for record in self._records.values() if record.kind == kind),
-                key=lambda record: record.key,
-            )
+            return sorted(self._by_kind.get(kind, {}).values())
 
     @property
     def record_count(self) -> int:

@@ -2,6 +2,9 @@ import base64
 import copy
 import json
 
+import pytest
+
+from bomtrace import api
 from bomtrace.api import ERROR_STATUS, MAX_BODY_BYTES, ROUTES, build_schema, dispatch
 from bomtrace.canonical import canonical_bytes
 from bomtrace.errors import StorageFailure
@@ -488,3 +491,58 @@ def test_float_in_body_rejected(gw):
     )
     assert status == 400
     assert body["code"] == "MALFORMED_BODY"
+
+
+# -- route matching ----------------------------------------------------------
+
+
+def _reference_match(method, path):
+    """The matcher that split every route's path on every request."""
+    segments = [s for s in path.split("/") if s != ""]
+    path_known = False
+    for route in ROUTES:
+        pattern = [s for s in route.path.split("/") if s != ""]
+        if len(pattern) != len(segments):
+            continue
+        params = {}
+        matched = True
+        for pat, seg in zip(pattern, segments):
+            if pat.startswith("{") and pat.endswith("}"):
+                params[pat[1:-1]] = seg
+            elif pat != seg:
+                matched = False
+                break
+        if matched:
+            path_known = True
+            if route.method == method:
+                return route, params, True
+    return None, {}, path_known
+
+
+def _concrete(path, value):
+    return "/".join(value if s.startswith("{") else s for s in path.split("/"))
+
+
+_PATHS = sorted(
+    {_concrete(route.path, value) for route in ROUTES for value in ("x1", "seal", "ledger")}
+    | {route.path for route in ROUTES}
+    | {"", "/", "//", "/nope", "/components/", "//components//x1//", "/components/x1/nope",
+       "/bols/x1/components/x2", "/bols/x1/proofs/0/extra", "/ledger", "/ledger/nope",
+       "healthz", "/healthz/", "/api/healthz", "/a/b/c/d/e/f"}
+)
+
+
+@pytest.mark.parametrize("method", ["GET", "POST", "PUT", "DELETE", "PATCH"])
+def test_route_table_matches_the_reference_matcher(method):
+    for path in _PATHS:
+        assert api._match(method, path) == _reference_match(method, path), (method, path)
+
+
+def test_route_table_answers_alike_under_a_base_path(gw):
+    for method in ("GET", "POST", "PUT", "DELETE", "PATCH"):
+        for path in ("/healthz", "/nope", "/components/x1", "/ledger/verify", "/", "//"):
+            plain = dispatch(gw, method, path)
+            based = dispatch(gw, method, "/api" + path, base_path="/api")
+            if plain[0] == 201:  # a mutation answers with a new request id
+                continue
+            assert based == plain, (method, path)

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import random
 
@@ -6,7 +7,7 @@ import pytest
 from bomtrace import gateway as gateway_module
 from bomtrace import runtime
 from bomtrace.api import dispatch
-from bomtrace.canonical import canonical_bytes, from_canonical
+from bomtrace.canonical import canonical_bytes
 from bomtrace.errors import (
     AlreadySealed,
     BolNotSealed,
@@ -20,6 +21,7 @@ from bomtrace.gateway import Gateway
 from bomtrace.ledger import (
     OBSERVATION_RECORDED,
     leaf_digest,
+    merkle_root,
     verify_inclusion,
 )
 from bomtrace.runtime import BolStatus, bol_header_bytes, bol_leaves, observation_record_bytes
@@ -56,6 +58,26 @@ def test_first_instantiation_freezes_bom(gw):
     assert gw.get_bom(parts["bom"]).frozen is True
     gw.instantiate_bol(parts["bom"])  # further runs fine
     assert gw.get_bom(parts["bom"]).frozen is True
+
+
+def test_only_the_first_instantiation_validates(gw, monkeypatch):
+    parts = build_hpc(gw)
+    calls = []
+    validate = gateway_module.model.validate_structure
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return validate(*args, **kwargs)
+
+    monkeypatch.setattr(gateway_module.model, "validate_structure", counting)
+    first = gw.instantiate_bol(parts["bom"], now=5)
+    assert len(calls) == 1
+    second = gw.instantiate_bol(parts["bom"], now=5)
+    # the BoM froze at the first; nothing stored since can have made it invalid
+    assert len(calls) == 1
+    assert second.id != first.id
+    assert dataclasses.replace(second, id=first.id) == first
+    assert gw.validate_bom(parts["bom"]).ok
 
 
 def test_instantiate_unknown_bom(gw):
@@ -247,16 +269,20 @@ def test_inclusion_proof_requires_sealed_bol(gw):
 def _count_leaf_builds(monkeypatch) -> list:
     """Count the Merkle trees the gateway builds from here on, by BoL id.
 
-    Leaf 0 of a BoL's tree is its header, which names the BoL.
+    ``_Run.merkle_tree`` builds a run's tree when it holds none; a call that
+    returns another tree than the one held before it built one.
     """
     calls = []
-    build = gateway_module.ledgermod.merkle_levels
+    build = gateway_module._Run.merkle_tree
 
-    def counting(leaves):
-        calls.append(from_canonical(leaves[0])["bol_id"])
-        return build(leaves)
+    def counting(run):
+        held = run.tree
+        tree = build(run)
+        if tree is not held:
+            calls.append(run.header.id)
+        return tree
 
-    monkeypatch.setattr(gateway_module.ledgermod, "merkle_levels", counting)
+    monkeypatch.setattr(gateway_module._Run, "merkle_tree", counting)
     return calls
 
 
@@ -264,6 +290,42 @@ def _record_mixed(gw, parts, bol_id, count):
     for i in range(count):
         cid = (parts["scene"], parts["model"], parts["result"])[i % 3]
         gw.record_observation(bol_id, cid, f"reading {i}", now=i)
+
+
+def _check_digests(run, replayed: bool) -> None:
+    """Every digest a run holds is its leaf's; a replayed leaf may be None yet."""
+    for cid, leaves in run.leaves.items():
+        assert len(run.digests[cid]) == len(leaves) == len(run.observations[cid])
+        for leaf, digest in zip(leaves, run.digests[cid]):
+            if leaf is None:
+                assert replayed and digest is None
+            else:
+                assert digest == leaf_digest(leaf)
+
+
+def test_held_leaf_digests_are_those_of_the_leaves(tmp_path):
+    gw = Gateway(tmp_path, deterministic_ids=True, clock=lambda: FIXED_NOW)
+    parts = build_hpc(gw)
+    bol = gw.instantiate_bol(parts["bom"])
+    _record_mixed(gw, parts, bol.id, 7)
+    gw.record_observation(bol.id, parts["scene"], "e\u0301", note="n\u0303", now=8)
+    _check_digests(gw._runs[bol.id], replayed=False)
+    gw.close()
+    gw = Gateway(tmp_path, deterministic_ids=True, clock=lambda: FIXED_NOW)
+    try:
+        run = gw._runs[bol.id]
+        assert all(leaf is None for leaves in run.leaves.values() for leaf in leaves)
+        _record_mixed(gw, parts, bol.id, 4)
+        _check_digests(run, replayed=True)
+        anchor = gw.seal_bol(bol.id)
+        # the seal encoded and hashed the replayed leaves, and kept them
+        assert all(leaf is not None for leaves in run.leaves.values() for leaf in leaves)
+        _check_digests(run, replayed=False)
+        leaves = bol_leaves(gw.get_bol(bol.id))
+        assert [leaf for cid in sorted(run.leaves) for leaf in run.leaves[cid]] == leaves[1:]
+        assert anchor.merkle_root == merkle_root(leaves)
+    finally:
+        gw.close()
 
 
 def test_proofs_after_a_seal_build_no_leaves(gw, monkeypatch):

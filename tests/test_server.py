@@ -175,6 +175,104 @@ def test_oversized_headers_are_malformed_body(server, headers):
     assert after == b""
 
 
+_COMPONENT = json.dumps({"kind": "artifact", "name": "chunked"}).encode()
+
+
+def _chunked(*chunks: bytes) -> bytes:
+    return b"".join(b"%x\r\n%s\r\n" % (len(c), c) for c in chunks) + b"0\r\n\r\n"
+
+
+def _post_chunked(headers: bytes, body: bytes) -> bytes:
+    return (b"POST /components HTTP/1.1\r\nHost: localhost\r\n"
+            b"Content-Type: application/json\r\n" + headers + b"\r\n" + body)
+
+
+def test_chunked_create_then_keep_alive_get(server):
+    conn = http.client.HTTPConnection(*server.server_address, timeout=5)
+    try:
+        # an iterable body of unknown length goes out chunked
+        conn.request("POST", "/components", body=iter([_COMPONENT[:10], _COMPONENT[10:]]),
+                     encode_chunked=True)
+        response = conn.getresponse()
+        created = json.loads(response.read())
+        assert response.status == 201, created
+        sock = conn.sock
+        status, doc = _round_trip(conn, "GET", f"/components/{created['component']['id']}")
+        assert (status, doc["name"]) == (200, "chunked")
+        assert conn.sock is sock  # answered on the same keep-alive connection
+    finally:
+        conn.close()
+
+
+def test_chunked_body_with_extensions_and_trailers_is_read(server):
+    body = (b"a;name=value\r\n" + _COMPONENT[:10] + b"\r\n"
+            + b"%X\r\n" % (len(_COMPONENT) - 10) + _COMPONENT[10:] + b"\r\n"
+            + b"000\r\nX-Trailer: 1\r\n\r\n")
+    status, doc, _, _ = _send_raw(
+        server, _post_chunked(b"Transfer-Encoding: chunked\r\nConnection: close\r\n", body)
+    )
+    assert (status, doc["component"]["name"]) == (201, "chunked")
+
+
+@pytest.mark.parametrize("headers", [
+    b"Transfer-Encoding: gzip\r\n",
+    b"Transfer-Encoding: gzip, chunked\r\n",
+    b"Transfer-Encoding: chunked\r\nTransfer-Encoding: chunked\r\n",
+], ids=["gzip", "gzip-then-chunked", "chunked-twice"])
+def test_other_transfer_coding_is_malformed_body(server, headers):
+    status, body, connection, after = _send_raw(
+        server, _post_chunked(headers, _chunked(_COMPONENT))
+    )
+    assert (status, body["code"]) == (400, "MALFORMED_BODY")
+    assert connection == "close"
+    assert after == b""
+
+
+def test_transfer_encoding_with_content_length_is_malformed_body(server):
+    headers = b"Transfer-Encoding: chunked\r\nContent-Length: %d\r\n" % len(_COMPONENT)
+    status, body, connection, after = _send_raw(
+        server, _post_chunked(headers, _chunked(_COMPONENT))
+    )
+    assert (status, body["code"]) == (400, "MALFORMED_BODY")
+    assert connection == "close"
+    assert after == b""
+
+
+@pytest.mark.parametrize("body", [
+    b"zz\r\n" + _COMPONENT + b"\r\n0\r\n\r\n",  # a size that is not hex
+    b"0x10\r\n" + _COMPONENT[:16] + b"\r\n0\r\n\r\n",  # a size int() would take
+    b"\r\n0\r\n\r\n",  # no size at all
+    b"%x\r\n%sXY0\r\n\r\n" % (len(_COMPONENT), _COMPONENT),  # data overruns its size
+    b"%x\n%s\r\n0\r\n\r\n" % (len(_COMPONENT), _COMPONENT),  # a bare LF ends the size
+    _chunked(_COMPONENT)[:-2] + b"X-Trailer: 1\n\r\n",  # a bare LF ends a trailer
+], ids=["not-hex", "0x-prefix", "empty-size", "overrun", "bare-lf", "bare-lf-trailer"])
+def test_malformed_chunk_is_malformed_body(server, body):
+    status, doc, connection, after = _send_raw(
+        server, _post_chunked(b"Transfer-Encoding: chunked\r\n", body)
+    )
+    assert (status, doc["code"]) == (400, "MALFORMED_BODY")
+    assert connection == "close"
+    assert after == b""
+
+
+def test_chunked_body_over_the_cap_is_refused(server, monkeypatch):
+    monkeypatch.setattr(server_module, "MAX_BODY_BYTES", len(_COMPONENT))
+    # the cap holds across chunks: each is small, their sum is not
+    body = _chunked(_COMPONENT[:10], _COMPONENT[10:], b" ")
+    status, doc, connection, after = _send_raw(
+        server, _post_chunked(b"Transfer-Encoding: chunked\r\n", body)
+    )
+    assert (status, doc["code"]) == (413, "BODY_TOO_LARGE")
+    assert connection == "close"
+    assert after == b""
+    # a body at the cap is read
+    status, doc, _, _ = _send_raw(server, _post_chunked(
+        b"Transfer-Encoding: chunked\r\nConnection: close\r\n",
+        _chunked(_COMPONENT[:10], _COMPONENT[10:]),
+    ))
+    assert status == 201, doc
+
+
 def test_lone_surrogate_is_refused_and_connection_kept(server):
     # valid JSON whose \ud800 escape decodes to a string with no UTF-8 form
     conn = http.client.HTTPConnection(*server.server_address, timeout=5)
