@@ -101,8 +101,10 @@ class Store:
         self._path = self._dir / LOG_NAME
         self._lock = threading.RLock()
         self._records: dict[str, StoredRecord] = {}
-        # the same records per kind; a key is held under its current kind only
+        # the same records per kind, each kind's in key order unless it is
+        # in _unordered; a key is held under its current kind only
         self._by_kind: defaultdict[str, dict[str, StoredRecord]] = defaultdict(dict)
+        self._unordered: set[str] = set()
         self._transactions = 0  # committed log lines
         self._broken: str | None = None  # why writes are refused, if they are
         try:
@@ -138,8 +140,9 @@ class Store:
                         f"corrupt store log at byte {offset}: {exc}"
                     ) from exc
             offset += len(line) + 1
-        # the per-kind index, in one pass over the records the log left current
-        for record in self._records.values():
+        # the per-kind index, each kind's records in key order (records
+        # compare by their unique key first)
+        for record in sorted(self._records.values()):
             self._by_kind[record.kind][record.key] = record
         if end < len(raw):
             # torn tail from a crash mid-append; drop it
@@ -218,9 +221,14 @@ class Store:
             self._transactions += 1
             for op, revision in zip(writes, revisions):
                 old = self._records.get(op.key)
-                if old is not None and old.kind != op.kind:
-                    del self._by_kind[old.kind][op.key]  # it leaves its old kind's scans
-                self._records[op.key] = self._by_kind[op.kind][op.key] = StoredRecord(
+                held = self._by_kind[op.kind]
+                if old is None or old.kind != op.kind:
+                    if old is not None:
+                        del self._by_kind[old.kind][op.key]  # it leaves its old kind's scans
+                    # a key new to its kind goes last in its dict
+                    if held and op.key < next(reversed(held)):
+                        self._unordered.add(op.kind)
+                self._records[op.key] = held[op.key] = StoredRecord(
                     op.key, op.kind, op.data, revision
                 )
             return revisions
@@ -250,12 +258,17 @@ class Store:
     def scan(self, kind: str) -> list[StoredRecord]:
         """The current records of ``kind``, in ascending key order.
 
-        Records compare by their key first, and keys are unique, so the sort
-        needs no key function. It is linear when keys arrive in order, as a
-        ledger's do.
+        A kind's records are sorted again only after a key arrived out of
+        order; keys that arrive in order, as a ledger's do, are never sorted.
         """
         with self._lock:
-            return sorted(self._by_kind.get(kind, {}).values())
+            held = self._by_kind.get(kind)
+            if held is None:
+                return []
+            if kind in self._unordered:
+                self._by_kind[kind] = held = dict(sorted(held.items()))
+                self._unordered.discard(kind)
+            return list(held.values())
 
     @property
     def record_count(self) -> int:
