@@ -95,7 +95,7 @@ class _Handler(BaseHTTPRequestHandler):
         body = bytearray()
         while True:
             size = self._read_line("chunk size").split(b";", 1)[0].rstrip(b" \t")
-            if not size or size.strip(_HEXDIGITS):
+            if not size or size.strip(_HEXDIGITS):  # what strip leaves is not hex
                 raise MalformedBody(f"bad chunk size {size[:20]!r}")
             length = int(size, 16)
             if length == 0:

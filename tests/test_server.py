@@ -245,7 +245,9 @@ def test_transfer_encoding_with_content_length_is_malformed_body(server):
     b"%x\r\n%sXY0\r\n\r\n" % (len(_COMPONENT), _COMPONENT),  # data overruns its size
     b"%x\n%s\r\n0\r\n\r\n" % (len(_COMPONENT), _COMPONENT),  # a bare LF ends the size
     _chunked(_COMPONENT)[:-2] + b"X-Trailer: 1\n\r\n",  # a bare LF ends a trailer
-], ids=["not-hex", "0x-prefix", "empty-size", "overrun", "bare-lf", "bare-lf-trailer"])
+    _chunked(_COMPONENT)[:-2] + b"X: 1\r\n" * 101 + b"\r\n",  # too many trailer fields
+], ids=["not-hex", "0x-prefix", "empty-size", "overrun", "bare-lf", "bare-lf-trailer",
+        "too-many-trailers"])
 def test_malformed_chunk_is_malformed_body(server, body):
     status, doc, connection, after = _send_raw(
         server, _post_chunked(b"Transfer-Encoding: chunked\r\n", body)
