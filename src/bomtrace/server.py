@@ -58,18 +58,23 @@ class _Handler(BaseHTTPRequestHandler):
     def _read_body(self) -> bytes | None:
         """The request body, framed by ``Transfer-Encoding: chunked`` or ``Content-Length``.
 
-        A request may carry one of the two headers, not both (RFC 9112 §6.1,
-        §6.3), and ``chunked`` is the only transfer coding read.
+        A request may carry one of the two headers, not both, and at most one
+        ``Content-Length`` (RFC 9112 §6.1, §6.3); ``chunked`` is the only
+        transfer coding read.
         """
         codings = self.headers.get_all("Transfer-Encoding")
-        header = self.headers.get("Content-Length")
+        lengths = self.headers.get_all("Content-Length")
         if codings is not None:
-            if header is not None:
+            if lengths is not None:
                 raise MalformedBody("request carries both Transfer-Encoding and Content-Length")
             if [c.strip().lower() for c in ",".join(codings).split(",")] != ["chunked"]:
                 raise MalformedBody(f"unsupported Transfer-Encoding {', '.join(codings)!r}")
             return self._read_chunked()
-        header = header or "0"
+        if lengths is None:
+            return None
+        if len(lengths) > 1:
+            raise MalformedBody("request carries more than one Content-Length")
+        header = lengths[0] or "0"
         try:
             length = int(header)
         except ValueError:

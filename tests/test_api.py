@@ -543,6 +543,4 @@ def test_route_table_answers_alike_under_a_base_path(gw):
         for path in ("/healthz", "/nope", "/components/x1", "/ledger/verify", "/", "//"):
             plain = dispatch(gw, method, path)
             based = dispatch(gw, method, "/api" + path, base_path="/api")
-            if plain[0] == 201:  # a mutation answers with a new request id
-                continue
             assert based == plain, (method, path)

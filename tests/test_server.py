@@ -182,7 +182,7 @@ def _chunked(*chunks: bytes) -> bytes:
     return b"".join(b"%x\r\n%s\r\n" % (len(c), c) for c in chunks) + b"0\r\n\r\n"
 
 
-def _post_chunked(headers: bytes, body: bytes) -> bytes:
+def _post_raw(headers: bytes, body: bytes) -> bytes:
     return (b"POST /components HTTP/1.1\r\nHost: localhost\r\n"
             b"Content-Type: application/json\r\n" + headers + b"\r\n" + body)
 
@@ -209,7 +209,7 @@ def test_chunked_body_with_extensions_and_trailers_is_read(server):
             + b"%X\r\n" % (len(_COMPONENT) - 10) + _COMPONENT[10:] + b"\r\n"
             + b"000\r\nX-Trailer: 1\r\n\r\n")
     status, doc, _, _ = _send_raw(
-        server, _post_chunked(b"Transfer-Encoding: chunked\r\nConnection: close\r\n", body)
+        server, _post_raw(b"Transfer-Encoding: chunked\r\nConnection: close\r\n", body)
     )
     assert (status, doc["component"]["name"]) == (201, "chunked")
 
@@ -221,8 +221,19 @@ def test_chunked_body_with_extensions_and_trailers_is_read(server):
 ], ids=["gzip", "gzip-then-chunked", "chunked-twice"])
 def test_other_transfer_coding_is_malformed_body(server, headers):
     status, body, connection, after = _send_raw(
-        server, _post_chunked(headers, _chunked(_COMPONENT))
+        server, _post_raw(headers, _chunked(_COMPONENT))
     )
+    assert (status, body["code"]) == (400, "MALFORMED_BODY")
+    assert connection == "close"
+    assert after == b""
+
+
+@pytest.mark.parametrize("lengths", [(5, len(_COMPONENT)), (len(_COMPONENT),) * 2],
+                         ids=["differing", "equal"])
+def test_more_than_one_content_length_is_malformed_body(server, lengths):
+    # a proxy that framed by the other header would read a second request
+    headers = b"".join(b"Content-Length: %d\r\n" % n for n in lengths)
+    status, body, connection, after = _send_raw(server, _post_raw(headers, _COMPONENT))
     assert (status, body["code"]) == (400, "MALFORMED_BODY")
     assert connection == "close"
     assert after == b""
@@ -231,7 +242,7 @@ def test_other_transfer_coding_is_malformed_body(server, headers):
 def test_transfer_encoding_with_content_length_is_malformed_body(server):
     headers = b"Transfer-Encoding: chunked\r\nContent-Length: %d\r\n" % len(_COMPONENT)
     status, body, connection, after = _send_raw(
-        server, _post_chunked(headers, _chunked(_COMPONENT))
+        server, _post_raw(headers, _chunked(_COMPONENT))
     )
     assert (status, body["code"]) == (400, "MALFORMED_BODY")
     assert connection == "close"
@@ -250,7 +261,7 @@ def test_transfer_encoding_with_content_length_is_malformed_body(server):
         "too-many-trailers"])
 def test_malformed_chunk_is_malformed_body(server, body):
     status, doc, connection, after = _send_raw(
-        server, _post_chunked(b"Transfer-Encoding: chunked\r\n", body)
+        server, _post_raw(b"Transfer-Encoding: chunked\r\n", body)
     )
     assert (status, doc["code"]) == (400, "MALFORMED_BODY")
     assert connection == "close"
@@ -262,13 +273,13 @@ def test_chunked_body_over_the_cap_is_refused(server, monkeypatch):
     # the cap holds across chunks: each is small, their sum is not
     body = _chunked(_COMPONENT[:10], _COMPONENT[10:], b" ")
     status, doc, connection, after = _send_raw(
-        server, _post_chunked(b"Transfer-Encoding: chunked\r\n", body)
+        server, _post_raw(b"Transfer-Encoding: chunked\r\n", body)
     )
     assert (status, doc["code"]) == (413, "BODY_TOO_LARGE")
     assert connection == "close"
     assert after == b""
     # a body at the cap is read
-    status, doc, _, _ = _send_raw(server, _post_chunked(
+    status, doc, _, _ = _send_raw(server, _post_raw(
         b"Transfer-Encoding: chunked\r\nConnection: close\r\n",
         _chunked(_COMPONENT[:10], _COMPONENT[10:]),
     ))
