@@ -1,5 +1,7 @@
 import http.client
 import json
+import platform
+import re
 import socket
 import statistics
 import threading
@@ -146,6 +148,77 @@ def test_unrouted_verb_is_answered_like_any_unknown_route(server, method):
         assert status == 200 and doc == {"status": "ok"}
     finally:
         conn.close()
+
+
+def _read_head(rfile) -> list[bytes]:
+    """The lines of one response head, without their CRLFs."""
+    lines = []
+    while (line := rfile.readline()) != b"\r\n":
+        assert line.endswith(b"\r\n"), line
+        lines.append(line[:-2])
+    return lines
+
+
+def test_response_head_is_pinned(server):
+    """Status line, Server, Date, Content-Type, Content-Length, then Connection on a close."""
+    server_line = b"Server: bomtrace Python/" + platform.python_version().encode()
+    with socket.create_connection(server.server_address, timeout=5) as sock, \
+            sock.makefile("rb") as rfile:
+        for method, status, close in (("GET", b"200 OK", False),
+                                      ("HEAD", b"404 Not Found", False),
+                                      ("GET", b"200 OK", True)):
+            sock.sendall(f"{method} /healthz HTTP/1.1\r\nHost: localhost\r\n".encode()
+                         + (b"Connection: close\r\n" if close else b"") + b"\r\n")
+            payload = dispatch(server.gateway, method, "/healthz")[2]
+            head = _read_head(rfile)
+            assert head[:2] == [b"HTTP/1.1 " + status, server_line]
+            assert re.fullmatch(rb"Date: \w{3}, \d\d \w{3} \d{4} \d\d:\d\d:\d\d GMT", head[2])
+            assert head[3:] == [b"Content-Type: application/json",
+                                b"Content-Length: %d" % len(payload)] + (
+                                    [b"Connection: close"] if close else [])
+            if method == "GET":  # a HEAD answer has no body: the next head follows
+                assert rfile.read(len(payload)) == payload
+        assert rfile.read() == b""  # closed after the answer that said so
+    with socket.create_connection(server.server_address, timeout=5) as sock, \
+            sock.makefile("rb") as rfile:
+        sock.sendall(b"GET /healthz HTTP/x.y\r\n\r\n")
+        head = _read_head(rfile)
+        assert head[:2] == [b"HTTP/1.1 400 Bad Request", server_line]
+        assert head[3] == b"Content-Type: application/json"
+        assert head[5:] == [b"Connection: close"]
+        assert json.loads(rfile.read())["code"] == "MALFORMED_BODY"
+
+
+@pytest.mark.parametrize("request_head, closes", [
+    (b"GET /healthz HTTP/1.0\r\n\r\n", True),
+    (b"GET /healthz HTTP/1.0\r\nConnection: keep-alive\r\n\r\n", False),
+    (b"GET /healthz HTTP/1.1\r\nConnection: close\r\n\r\n", True),
+    (b"GET /healthz HTTP/1.1\r\n\r\n", False),
+], ids=["1.0", "1.0-keep-alive", "1.1-close", "1.1"])
+def test_connection_closes_by_version_and_header(server, request_head, closes):
+    with socket.create_connection(server.server_address, timeout=5) as sock, \
+            sock.makefile("rb") as rfile:
+        sock.sendall(request_head)
+        head = _read_head(rfile)
+        assert head[0] == b"HTTP/1.1 200 OK"
+        assert (b"Connection: close" in head) == closes
+        assert json.loads(rfile.read(len(b'{"status":"ok"}'))) == {"status": "ok"}
+        if closes:
+            assert rfile.read() == b""
+        else:
+            sock.sendall(b"GET /healthz HTTP/1.1\r\n\r\n")
+            assert _read_head(rfile)[0] == b"HTTP/1.1 200 OK"
+
+
+def test_expect_100_continue_is_answered_before_the_body(server):
+    body = json.dumps({"kind": "artifact", "name": "m"}).encode()
+    with socket.create_connection(server.server_address, timeout=5) as sock, \
+            sock.makefile("rb") as rfile:
+        sock.sendall(b"POST /components HTTP/1.1\r\nHost: localhost\r\n"
+                     b"Expect: 100-continue\r\nContent-Length: %d\r\n\r\n" % len(body))
+        assert _read_head(rfile) == [b"HTTP/1.1 100 Continue"]  # sent before the body
+        sock.sendall(body)
+        assert _read_head(rfile)[0] == b"HTTP/1.1 201 Created"
 
 
 @pytest.mark.parametrize("request_line", [
