@@ -1,7 +1,9 @@
 """Threaded HTTP/1.1 front-end over the dispatcher.
 
-Binds to loopback by default; there is no authentication in this version,
-so only widen the bind address on a trusted network.
+This module frames every request itself: the request line, the header block
+and the body (RFC 9112 §2–§7). It binds to loopback by default; there is no
+authentication in this version, so only widen the bind address on a trusted
+network.
 """
 
 from __future__ import annotations
@@ -9,8 +11,12 @@ from __future__ import annotations
 import argparse
 import logging
 import os
+import re
+import socketserver
+import sys
+from email.utils import formatdate
 from http import HTTPStatus
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+from typing import BinaryIO
 from urllib.parse import unquote, urlsplit
 
 from .api import MAX_BODY_BYTES, dispatch, error_response
@@ -19,51 +25,98 @@ from .gateway import Gateway
 
 logger = logging.getLogger(__name__)
 
-# bounds on a chunked body's framing lines, as http.client sets for headers
+# bounds on every framing line and on the fields of a header or trailer
+# block, as http.client sets for headers
 _MAX_LINE = 65536
-_MAX_TRAILERS = 100
+_MAX_FIELDS = 100
 _HEXDIGITS = b"0123456789abcdefABCDEF"
+# token ":" OWS value OWS (RFC 9112 §5.1); a value holds no CR or NUL (RFC 9110 §5.5)
+_FIELD = re.compile(rb"([-!#$%&'*+.^_`|~0-9A-Za-z]+):[ \t]*([^\r\0]*?)[ \t]*")
+_SERVER = f"bomtrace Python/{sys.version.split()[0]}"
 
 
-class _Handler(BaseHTTPRequestHandler):
-    protocol_version = "HTTP/1.1"
-    server_version = "bomtrace"
+def _read_line(rfile: BinaryIO, what: str) -> bytes:
+    """One CRLF-terminated line of at most ``_MAX_LINE`` bytes, without its CRLF."""
+    line = rfile.readline(_MAX_LINE + 1)
+    if len(line) > _MAX_LINE or not line.endswith(b"\r\n"):
+        raise MalformedBody(f"malformed {what}")
+    return line[:-2]
+
+
+def read_fields(rfile: BinaryIO, what: str = "header field") -> dict[str, list[str]]:
+    """Read a header or trailer block through its empty line: values by lowercase name.
+
+    A line that is not ``token ":" value`` is refused: a line with no colon,
+    whitespace before the colon, and an obs-fold continuation line (RFC 9112
+    §5.2), which starts with whitespace.
+    """
+    fields: dict[str, list[str]] = {}
+    for _ in range(_MAX_FIELDS + 1):
+        line = _read_line(rfile, what)
+        if not line:
+            return fields
+        match = _FIELD.fullmatch(line)
+        if match is None:
+            raise MalformedBody(f"malformed {what} {line[:40]!r}")
+        fields.setdefault(match[1].decode("ascii").lower(), []).append(match[2].decode("latin-1"))
+    raise MalformedBody(f"more than {_MAX_FIELDS} {what}s")
+
+
+class _Handler(socketserver.StreamRequestHandler):
     # TCP_NODELAY: without it, a response written after the client's last
     # segment waits for the client's delayed ACK (about 40 ms on Linux)
     disable_nagle_algorithm = True
-    # seconds a connection may stall in a request line, header block or body;
-    # handle_one_request then logs the TimeoutError and closes the connection
+    # seconds a connection may stall in a request, or idle between two; the
+    # read then raises TimeoutError and the connection closes unanswered
     timeout = 30
 
-    def _handle(self, method: str) -> None:
-        parts = urlsplit(self.path)
+    def handle(self) -> None:
         try:
-            body = self._read_body()
-        except (MalformedBody, BodyTooLarge) as exc:
-            # the body is not read to its end, so the next request cannot be framed
-            self.close_connection = True
-            self._reply(*error_response(exc))
-            return
-        self._reply(*dispatch(
-            self.server.gateway,
-            method,
-            # a %-escape that is not UTF-8 becomes a lone surrogate, which
-            # dispatch refuses as it does a non-UTF-8 argument from the CLI
-            unquote(parts.path, errors="surrogateescape"),
-            parts.query,
-            body,
-            base_path=self.server.base_path,
-        ))
+            while line := self.rfile.readline(_MAX_LINE + 1):
+                # an empty line before a request line is ignored (RFC 9112 §2.2)
+                if line != b"\r\n" and not self._handle(line):
+                    return
+        except OSError as exc:  # a timeout or a reset: nothing more can be framed
+            logger.debug("connection from %s dropped: %r", self.client_address[0], exc)
 
-    def _read_body(self) -> bytes | None:
+    def _handle(self, line: bytes) -> bool:
+        """Answer the request that ``line`` starts; False when the connection closes."""
+        method = ""
+        try:
+            words = line.split()  # method, target and version (RFC 9112 §3)
+            if (len(line) > _MAX_LINE or not line.endswith(b"\r\n") or len(words) != 3
+                    or words[2] not in (b"HTTP/1.0", b"HTTP/1.1")):
+                raise MalformedBody(f"bad request line {line[:40].rstrip()!r}")
+            method, target, version = (word.decode("latin-1") for word in words)
+            fields = read_fields(self.rfile)
+            connection = fields.get("connection", [""])[0].lower()
+            close = connection == "close" or (version == "HTTP/1.0" and connection != "keep-alive")
+            if version == "HTTP/1.1" and fields.get("expect", [""])[0].lower() == "100-continue":
+                self.wfile.write(b"HTTP/1.1 100 Continue\r\n\r\n")
+            body = self._read_body(fields)
+        except (MalformedBody, BodyTooLarge) as exc:
+            # the request is not read to its end, so the next one cannot be framed
+            self._reply(method, True, *error_response(exc))
+            return False
+        if target.startswith("//"):  # urlsplit would take the first segment for a host
+            target = "/" + target.lstrip("/")
+        parts = urlsplit(target)
+        # a %-escape that is not UTF-8 becomes a lone surrogate, which
+        # dispatch refuses as it does a non-UTF-8 argument from the CLI
+        path = unquote(parts.path, errors="surrogateescape")
+        self._reply(method, close, *dispatch(self.server.gateway, method, path, parts.query,
+                                             body, base_path=self.server.base_path))
+        return not close
+
+    def _read_body(self, fields: dict[str, list[str]]) -> bytes | None:
         """The request body, framed by ``Transfer-Encoding: chunked`` or ``Content-Length``.
 
         A request may carry one of the two headers, not both, and at most one
-        ``Content-Length`` (RFC 9112 §6.1, §6.3); ``chunked`` is the only
-        transfer coding read.
+        ``Content-Length``, whose value is ``1*DIGIT`` (RFC 9112 §6.1, §6.3;
+        RFC 9110 §8.6); ``chunked`` is the only transfer coding read.
         """
-        codings = self.headers.get_all("Transfer-Encoding")
-        lengths = self.headers.get_all("Content-Length")
+        codings = fields.get("transfer-encoding")
+        lengths = fields.get("content-length")
         if codings is not None:
             if lengths is not None:
                 raise MalformedBody("request carries both Transfer-Encoding and Content-Length")
@@ -74,32 +127,24 @@ class _Handler(BaseHTTPRequestHandler):
             return None
         if len(lengths) > 1:
             raise MalformedBody("request carries more than one Content-Length")
-        header = lengths[0] or "0"
-        try:
-            length = int(header)
-        except ValueError:
-            length = -1
-        if length < 0:
-            raise MalformedBody(f"bad Content-Length {header!r}")
+        header = lengths[0]
+        if not (header.isascii() and header.isdigit()):
+            raise MalformedBody(f"bad Content-Length {header[:20]!r}")
+        # 19 digits already exceed any cap, and int() refuses a very long string
+        length = int(header.lstrip("0")[:19] or "0")
         if length > MAX_BODY_BYTES:
-            raise BodyTooLarge(f"request body of {length} bytes exceeds {MAX_BODY_BYTES}")
+            raise BodyTooLarge(f"request body of {header[:20]} bytes exceeds {MAX_BODY_BYTES}")
         return self.rfile.read(length) if length else None
-
-    def _read_line(self, what: str) -> bytes:
-        """One CRLF-terminated line of a chunked body, without its CRLF."""
-        line = self.rfile.readline(_MAX_LINE + 1)
-        if len(line) > _MAX_LINE or not line.endswith(b"\r\n"):
-            raise MalformedBody(f"malformed {what} in chunked body")
-        return line[:-2]
 
     def _read_chunked(self) -> bytes:
         """Decode a chunked body (RFC 9112 §7.1), at most ``MAX_BODY_BYTES`` of it.
 
-        Chunk extensions and trailer fields are read and dropped.
+        Chunk extensions are dropped; trailer fields are read as header fields
+        are, then dropped.
         """
         body = bytearray()
         while True:
-            size = self._read_line("chunk size").split(b";", 1)[0].rstrip(b" \t")
+            size = _read_line(self.rfile, "chunk size").split(b";", 1)[0].rstrip(b" \t")
             if not size or size.strip(_HEXDIGITS):  # what strip leaves is not hex
                 raise MalformedBody(f"bad chunk size {size[:20]!r}")
             length = int(size, 16)
@@ -111,71 +156,22 @@ class _Handler(BaseHTTPRequestHandler):
             if len(chunk) != length + 2 or not chunk.endswith(b"\r\n"):
                 raise MalformedBody("chunk data does not end where its size says")
             body += chunk[:-2]
-        for _ in range(_MAX_TRAILERS + 1):
-            if not self._read_line("trailer field"):
-                return bytes(body)
-        raise MalformedBody(f"more than {_MAX_TRAILERS} trailer fields")
+        read_fields(self.rfile, "trailer field")
+        return bytes(body)
 
-    def _reply(self, status: int, content_type: str, payload: bytes) -> None:
-        self.send_response(status)
-        self.send_header("Content-Type", content_type)
-        self.send_header("Content-Length", str(len(payload)))
-        if self.close_connection:
-            self.send_header("Connection", "close")
-        # end_headers() would send the header block on its own; put the blank
-        # line and the body in the same buffer so one sendall carries them all
-        self._headers_buffer.append(b"\r\n")
-        if self.command != "HEAD":
-            self._headers_buffer.append(payload)
-        self.flush_headers()
-
-    def send_error(
-        self, code: int, message: str | None = None, explain: str | None = None
-    ) -> None:
-        """Answer a request that ``http.server`` refuses before dispatch, in JSON.
-
-        A verb with no ``do_`` method goes to the dispatcher, which answers
-        ``404 UNKNOWN_ROUTE`` for every verb the API does not route. Any other
-        refusal is a request line or header block that does not parse, or an
-        HTTP/0.9 request; it is answered ``400 MALFORMED_BODY`` and the
-        connection closes, since the rest of the stream cannot be framed.
-        """
-        if code == HTTPStatus.NOT_IMPLEMENTED:
-            self._handle(self.command)
-            return
-        # answer in our version: a request line that did not parse, or an
-        # HTTP/0.9 one, would otherwise get the bare body of an HTTP/0.9 reply
-        self.request_version = self.protocol_version
-        self.close_connection = True
-        self._reply(*error_response(MalformedBody(message or self.responses[code][0])))
-
-    def parse_request(self) -> bool:
-        """Parse as ``http.server`` does, but refuse an HTTP/0.9 request.
-
-        ``http.server`` takes a two-word ``GET`` line as an HTTP/0.9 request,
-        whose reply has no status line or headers.
-        """
-        if not super().parse_request():
-            return False
-        if self.request_version == "HTTP/0.9":
-            self.send_error(HTTPStatus.BAD_REQUEST, "HTTP/0.9 requests are not served")
-            return False
-        return True
-
-    def do_GET(self) -> None:
-        self._handle("GET")
-
-    def do_POST(self) -> None:
-        self._handle("POST")
-
-    def do_PUT(self) -> None:
-        self._handle("PUT")
-
-    def log_message(self, fmt: str, *args) -> None:
-        logger.debug("%s %s", self.address_string(), fmt % args)
+    def _reply(self, method: str, close: bool, status: int, content_type: str,
+               payload: bytes) -> None:
+        """Send the status line, headers and body in one write; a HEAD answer has no body."""
+        head = (f"HTTP/1.1 {status} {HTTPStatus(status).phrase}\r\n"
+                f"Server: {_SERVER}\r\nDate: {formatdate(usegmt=True)}\r\n"
+                f"Content-Type: {content_type}\r\nContent-Length: {len(payload)}\r\n")
+        if close:
+            head += "Connection: close\r\n"
+        self.wfile.write(head.encode("latin-1") + b"\r\n" + (b"" if method == "HEAD" else payload))
 
 
-class ApiServer(ThreadingHTTPServer):
+class ApiServer(socketserver.ThreadingTCPServer):
+    allow_reuse_address = True
     daemon_threads = True
 
     def __init__(self, gateway: Gateway, host: str = "127.0.0.1", port: int = 8080,

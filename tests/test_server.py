@@ -56,7 +56,7 @@ def _post_with_length(server, length: str) -> tuple[int, dict, str | None, bytes
     ).encode())
 
 
-@pytest.mark.parametrize("length", ["-1", "abc", "1.5"])
+@pytest.mark.parametrize("length", ["-1", "abc", "1.5", "+5", "1_0", "-0", ""])
 def test_bad_content_length_is_malformed_body(server, length):
     status, body, connection, after = _post_with_length(server, length)
     assert status == 400
@@ -64,6 +64,14 @@ def test_bad_content_length_is_malformed_body(server, length):
     assert connection == "close"
     assert after == b""  # the server hung up instead of waiting for a body
 
+
+def test_content_length_between_spaces_is_read(server):
+    body = json.dumps({"kind": "artifact", "name": "m"}).encode()
+    status, doc, _, _ = _send_raw(server, (
+        b"POST /components HTTP/1.1\r\nHost: localhost\r\nConnection: close\r\n"
+        b"Content-Length: \t %d \r\n\r\n%s" % (len(body), body)
+    ))
+    assert (status, doc["component"]["name"]) == (201, "m")
 
 
 def test_oversized_body_is_refused_unread(server):
@@ -210,6 +218,13 @@ def test_connection_closes_by_version_and_header(server, request_head, closes):
             assert _read_head(rfile)[0] == b"HTTP/1.1 200 OK"
 
 
+def test_empty_line_before_a_request_is_ignored(server):
+    with socket.create_connection(server.server_address, timeout=5) as sock, \
+            sock.makefile("rb") as rfile:
+        sock.sendall(b"\r\nGET /healthz HTTP/1.1\r\nConnection: close\r\n\r\n")
+        assert _read_head(rfile)[0] == b"HTTP/1.1 200 OK"
+
+
 def test_expect_100_continue_is_answered_before_the_body(server):
     body = json.dumps({"kind": "artifact", "name": "m"}).encode()
     with socket.create_connection(server.server_address, timeout=5) as sock, \
@@ -228,7 +243,11 @@ def test_expect_100_continue_is_answered_before_the_body(server):
     b"POST /components",  # an HTTP/0.9 request that is not a GET
     b"GET /healthz",  # an HTTP/0.9 GET
     b"GET /" + b"a" * 70_000 + b" HTTP/1.1",  # longer than a request line may be
-], ids=["one-word", "bad-version", "http-2", "http-0.9-post", "http-0.9-get", "too-long"])
+    b"GET /healthz HTTP/1.2",  # a minor version this server does not speak
+    b"GET /healthz HTTP/1.1\n",  # a bare LF ends the request line
+    b"GET / healthz HTTP/1.1",  # four words
+], ids=["one-word", "bad-version", "http-2", "http-0.9-post", "http-0.9-get", "too-long",
+        "http-1.2", "bare-lf", "four-words"])
 def test_bad_request_line_is_malformed_body(server, request_line):
     status, body, connection, after = _send_raw(server, request_line + b"\r\n\r\n")
     assert (status, body["code"]) == (400, "MALFORMED_BODY")
@@ -239,7 +258,15 @@ def test_bad_request_line_is_malformed_body(server, request_line):
 @pytest.mark.parametrize("headers", [
     b"X-Big: " + b"a" * 70_000 + b"\r\n",  # one header line too long
     b"".join(b"X-%d: 1\r\n" % n for n in range(101)),  # too many headers
-], ids=["long-line", "too-many"])
+    b"Foo\r\n",  # no colon
+    b"Host : localhost\r\n",  # whitespace before the colon
+    b"X-A: 1\r\n  2\r\n",  # an obs-fold continuation line
+    b"X-A: 1\nX-B: 2\r\n",  # a bare LF ends a field line
+    b"X-A: a\rb\r\n",  # a CR inside a value
+    b"X-A: a\x00b\r\n",  # a NUL inside a value
+    b"X\x01A: 1\r\n",  # a name that is not a token
+], ids=["long-line", "too-many", "no-colon", "space-before-colon", "obs-fold", "bare-lf", "cr",
+        "nul", "control-in-name"])
 def test_oversized_headers_are_malformed_body(server, headers):
     request = b"GET /healthz HTTP/1.1\r\nHost: localhost\r\n" + headers + b"\r\n"
     status, body, connection, after = _send_raw(server, request)
