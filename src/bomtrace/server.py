@@ -30,8 +30,8 @@ logger = logging.getLogger(__name__)
 _MAX_LINE = 65536
 _MAX_FIELDS = 100
 _HEXDIGITS = b"0123456789abcdefABCDEF"
-# token ":" OWS value OWS (RFC 9112 §5.1); a value holds no CR or NUL (RFC 9110 §5.5)
-_FIELD = re.compile(rb"([-!#$%&'*+.^_`|~0-9A-Za-z]+):[ \t]*([^\r\0]*?)[ \t]*")
+# a field name (RFC 9110 §5.1); its value is split off at the first colon
+_TOKEN = re.compile(rb"[-!#$%&'*+.^_`|~0-9A-Za-z]+")
 _SERVER = f"bomtrace Python/{sys.version.split()[0]}"
 
 
@@ -55,10 +55,12 @@ def read_fields(rfile: BinaryIO, what: str = "header field") -> dict[str, list[s
         line = _read_line(rfile, what)
         if not line:
             return fields
-        match = _FIELD.fullmatch(line)
-        if match is None:
+        # token ":" OWS value OWS (RFC 9112 §5.1); a value holds no CR or NUL (RFC 9110 §5.5)
+        name, colon, value = line.partition(b":")
+        value = value.strip(b" \t")
+        if not colon or not _TOKEN.fullmatch(name) or b"\r" in value or b"\0" in value:
             raise MalformedBody(f"malformed {what} {line[:40]!r}")
-        fields.setdefault(match[1].decode("ascii").lower(), []).append(match[2].decode("latin-1"))
+        fields.setdefault(name.decode("ascii").lower(), []).append(value.decode("latin-1"))
     raise MalformedBody(f"more than {_MAX_FIELDS} {what}s")
 
 

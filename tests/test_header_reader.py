@@ -7,6 +7,7 @@ whitespace (OWS) dropped. A head with one malformed line must be refused.
 
 import http.client
 import io
+import time
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -76,3 +77,17 @@ def test_head_with_more_than_100_fields_is_refused(lines):
 def test_bounds_are_inclusive():
     line = b"X: " + b"a" * (65_536 - 5)  # 65,536 bytes with its CRLF
     assert read_fields(io.BytesIO(_head([line] * 100)))["x"] == [line[3:].decode()] * 100
+
+
+def test_long_whitespace_runs_read_in_linear_time():
+    # a value with a long inner run of whitespace, or one that ends in a CR,
+    # must not make the reader backtrack over the run
+    inner = b"X: a" + b" " * (65_536 - 7) + b"b"  # 65,536 bytes with its CRLF
+    cr_end = b"X: a" + b" " * (65_536 - 7) + b"\r"
+    start = time.perf_counter()
+    for _ in range(3):
+        assert read_fields(io.BytesIO(_head([inner] * 100)))["x"] == [inner[3:].decode()] * 100
+    for _ in range(100):
+        with pytest.raises(MalformedBody):
+            read_fields(io.BytesIO(_head([cr_end])))
+    assert time.perf_counter() - start < 5
