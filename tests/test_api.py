@@ -228,6 +228,178 @@ def test_validate_endpoint(gw):
     assert doc == {"ok": True, "violations": []}
 
 
+# -- refused BoM structures, pinned as dispatch bytes -------------------------
+
+
+def _id(prefix, counter):
+    """The deterministic id with this counter."""
+    return f"{prefix}_{counter:032x}"
+
+
+def _held_boms(gw):
+    """Components x, y, m; assemblies A (x, m -> y), B (y -> x), C (m -> y),
+    D (y ->) and E (x ->); BoM Held over A and BoM Other over D."""
+    bodies = [
+        ("/components", {"kind": "data_source", "name": "x"}),
+        ("/components", {"kind": "data_source", "name": "y"}),
+        ("/components", {"kind": "artifact", "name": "m"}),
+        ("/assemblies", {"name": "A", "inputData": [_id("ds", 1)],
+                         "inputArtifacts": [_id("af", 3)], "outputData": [_id("ds", 2)]}),
+        ("/assemblies", {"name": "B", "inputData": [_id("ds", 2)], "outputData": [_id("ds", 1)]}),
+        ("/assemblies", {"name": "C", "inputArtifacts": [_id("af", 3)],
+                         "outputData": [_id("ds", 2)]}),
+        ("/assemblies", {"name": "D", "inputData": [_id("ds", 2)]}),
+        ("/assemblies", {"name": "E", "inputData": [_id("ds", 1)]}),
+        ("/boms", {"name": "Held", "assemblies": [_id("as", 4)]}),
+        ("/boms", {"name": "Other", "assemblies": [_id("as", 7)]}),
+    ]
+    for path, body in bodies:
+        status, doc, _ = call(gw, "POST", path, body)
+        assert status == 201, doc
+    return _id("bom", 9)
+
+
+def _invalid(*violations):
+    return (
+        '{"code":"VALIDATION_FAILED","detail":{"report":{"ok":false,"violations":['
+        + ",".join(
+            f'{{"code":"{code}","detail":"{detail}","subject":"{subject}"}}'
+            for code, subject, detail in violations
+        )
+        + ']}},"message":"BoM structure is invalid"}'
+    )
+
+
+def _dangling(kind, ref):
+    return f'{{"code":"DANGLING_REF","detail":{{"id":"{ref}"}},"message":"unknown {kind} {ref}"}}'
+
+
+_CYCLE_AB = (
+    "cycle", _id("as", 4),
+    "directed cycle through " + ", ".join(
+        [_id("as", 4), _id("as", 5), _id("as", 7), _id("ds", 1), _id("ds", 2)]
+    ),
+)
+
+# case -> (manifest, status, answer, counter of the id the next create gets);
+# a refused manifest keeps the ids it staged, but takes no BoM id
+POST_BOM_REFUSALS = {
+    "cycle": (
+        {"name": "M", "assemblies": [
+            {"name": "P", "inputData": [{"name": "u"}], "outputData": [{"name": "v"}]},
+            {"name": "Q", "inputData": ["v"], "outputData": ["u"]},
+        ]},
+        400,
+        _invalid((
+            "cycle", _id("as", 13),
+            "directed cycle through " + ", ".join(
+                [_id("as", 13), _id("as", 14), _id("ds", 11), _id("ds", 12)]
+            ),
+        )),
+        15,
+    ),
+    "two producers": (
+        {"name": "M", "assemblies": [
+            {"name": "P", "inputData": [_id("ds", 1)], "outputData": [{"name": "w"}]},
+            {"name": "Q", "inputData": [_id("ds", 2)], "outputData": ["w"]},
+        ]},
+        400,
+        _invalid((
+            "multiple_producers", _id("ds", 11),
+            f"produced by assemblies {_id('as', 12)}, {_id('as', 13)}",
+        )),
+        14,
+    ),
+    "assembly listed twice": (
+        {"name": "M", "assemblies": [_id("as", 8), _id("as", 8)]},
+        400,
+        _invalid(("duplicate_membership", _id("as", 8), "assembly listed twice in the BoM")),
+        11,
+    ),
+    "assembly in another BoM": (
+        {"name": "M", "assemblies": [_id("as", 4)]},
+        400,
+        _invalid((
+            "duplicate_membership", _id("as", 4),
+            f"assembly already belongs to BoM {_id('bom', 9)}",
+        )),
+        11,
+    ),
+    "unknown assembly": (
+        {"name": "M", "components": [{"name": "k", "kind": "artifact"}],
+         "assemblies": [_id("as", 99)]},
+        404,
+        _dangling("assembly", _id("as", 99)),
+        12,
+    ),
+    "unknown component": (
+        {"name": "M", "components": [{"name": "k", "kind": "artifact"}],
+         "assemblies": [{"name": "P", "inputData": [_id("ds", 99)]}]},
+        404,
+        _dangling("component", _id("ds", 99)),
+        12,
+    ),
+}
+
+# case -> (assembly list for BoM Held, status, answer); a refused update takes no id
+PUT_BOM_REFUSALS = {
+    "cycle": ([_id("as", 4), _id("as", 5)], 400, _invalid(_CYCLE_AB)),
+    "two producers": (
+        [_id("as", 4), _id("as", 6)],
+        400,
+        _invalid((
+            "multiple_producers", _id("ds", 2),
+            f"produced by assemblies {_id('as', 4)}, {_id('as', 6)}",
+        )),
+    ),
+    "assembly listed twice": (
+        [_id("as", 4), _id("as", 4)],
+        400,
+        _invalid(("duplicate_membership", _id("as", 4), "assembly listed twice in the BoM")),
+    ),
+    "assembly in another BoM": (
+        [_id("as", 7)],
+        400,
+        _invalid((
+            "duplicate_membership", _id("as", 7),
+            f"assembly already belongs to BoM {_id('bom', 10)}",
+        )),
+    ),
+    "unknown assembly": ([_id("as", 99)], 404, _dangling("assembly", _id("as", 99))),
+    # a BoM lists assemblies only, so a component id there is an unknown assembly
+    "unknown component": ([_id("ds", 1)], 404, _dangling("assembly", _id("ds", 1))),
+}
+
+
+def _refused_then_next_id(gw, method, path, body, status, answer):
+    before = gw.store.transaction_count
+    assert dispatch(gw, method, path, "", json.dumps(body).encode()) == (
+        status, "application/json", answer.encode()
+    )
+    assert gw.store.transaction_count == before
+    _, doc, _ = call(gw, "POST", "/components", {"kind": "artifact", "name": "next"})
+    return doc["component"]["id"]
+
+
+@pytest.mark.parametrize("case", POST_BOM_REFUSALS)
+def test_post_bom_refusal_bytes_and_next_id(gw, case):
+    manifest, status, answer, next_counter = POST_BOM_REFUSALS[case]
+    _held_boms(gw)
+    created = _refused_then_next_id(gw, "POST", "/boms", manifest, status, answer)
+    assert created == _id("af", next_counter)
+
+
+@pytest.mark.parametrize("case", PUT_BOM_REFUSALS)
+def test_put_bom_refusal_bytes_and_next_id(gw, case):
+    assembly_ids, status, answer = PUT_BOM_REFUSALS[case]
+    held = _held_boms(gw)
+    created = _refused_then_next_id(
+        gw, "PUT", f"/boms/{held}", {"assemblies": assembly_ids}, status, answer
+    )
+    assert created == _id("af", 11)
+    assert gw.get_bom(held).assemblies == (_id("as", 4),)
+
+
 def test_access_endpoint_flat_map(gw):
     bom = define_hpc(gw)
     scene = component_by_name(bom, "Traffic Scene")
