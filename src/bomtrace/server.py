@@ -136,7 +136,10 @@ class _Handler(socketserver.StreamRequestHandler):
         length = int(header.lstrip("0")[:19] or "0")
         if length > MAX_BODY_BYTES:
             raise BodyTooLarge(f"request body of {header[:20]} bytes exceeds {MAX_BODY_BYTES}")
-        return self.rfile.read(length) if length else None
+        body = self.rfile.read(length)
+        if len(body) != length:  # the client shut its side before the whole body
+            raise MalformedBody(f"request body ends before its {length} bytes")
+        return body or None
 
     def _read_chunked(self) -> bytes:
         """Decode a chunked body (RFC 9112 §7.1), at most ``MAX_BODY_BYTES`` of it.

@@ -368,6 +368,22 @@ def test_malformed_chunk_is_malformed_body(server, body):
     assert after == b""
 
 
+def test_body_cut_short_is_malformed_body_and_commits_nothing(server):
+    transactions = server.gateway.store.transaction_count
+    body = b'{"kind":"artifact","name":"cut"}'  # valid JSON, 20 bytes short
+    with socket.create_connection(server.server_address, timeout=5) as sock:
+        sock.sendall(b"POST /components HTTP/1.1\r\nHost: localhost\r\n"
+                     b"Content-Length: %d\r\n\r\n%s" % (len(body) + 20, body))
+        sock.shutdown(socket.SHUT_WR)  # the client sends no more
+        response = http.client.HTTPResponse(sock)
+        response.begin()
+        doc = json.loads(response.read())
+        assert (response.status, doc["code"]) == (400, "MALFORMED_BODY")
+        assert response.getheader("Connection") == "close"
+        assert sock.recv(1) == b""
+    assert server.gateway.store.transaction_count == transactions
+
+
 def test_chunked_body_over_the_cap_is_refused(server, monkeypatch):
     monkeypatch.setattr(server_module, "MAX_BODY_BYTES", len(_COMPONENT))
     # the cap holds across chunks: each is small, their sum is not
