@@ -179,8 +179,12 @@ def _resolve_access(gw: Gateway, params, query, body):
 
 
 def _inclusion_proof(gw: Gateway, params, query, body):
+    text = params["leaf_index"]
     try:
-        leaf_index = int(params["leaf_index"])
+        # int() alone would also take "+1", "1_0", " 1" and non-ASCII digits
+        if not (text.isascii() and text.removeprefix("-").isdigit()):
+            raise ValueError(text)
+        leaf_index = int(text)  # which also refuses more than 4300 digits
     except ValueError:
         raise MalformedBody("leaf index must be an integer") from None
     leaf, proof = gw.inclusion_proof(params["id"], leaf_index)

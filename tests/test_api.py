@@ -438,6 +438,15 @@ def test_proof_round_trip_through_api(gw):
         "merkle_root": root,
     })
     assert verdict == {"included": False}
+    # a leaf index is ASCII digits with an optional "-"; int() alone takes more
+    for text in ("0_1", "+1", " 1", "1 ", "\t1", "١", "--1", "-", "1.0", "x", "1" * 5000):
+        status, doc, _ = call(gw, "GET", f"/bols/{bol_id}/proofs/{text}")
+        assert (status, doc) == (400, {
+            "code": "MALFORMED_BODY", "message": "leaf index must be an integer",
+        }), text
+    status, doc, _ = call(gw, "GET", f"/bols/{bol_id}/proofs/-1")
+    assert (status, doc["code"]) == (404, "UNKNOWN_ID")
+    assert call(gw, "GET", f"/bols/{bol_id}/proofs/01")[1] == proof_doc
 
 
 def test_update_bom_via_put(gw):
