@@ -85,7 +85,7 @@ def _create_component(gw: Gateway, params, query, body):
 
 
 def _get_component(gw: Gateway, params, query, body):
-    return gw._require_component(params["id"]).to_dict()
+    return gw.require_component(params["id"]).to_dict()
 
 
 def _scope(query: dict[str, str]) -> str:
@@ -147,7 +147,7 @@ def _instantiate_bol(gw: Gateway, params, query, body):
 
 
 def _get_bol(gw: Gateway, params, query, body):
-    return gw._require_bol(params["id"]).to_dict()
+    return gw.require_bol(params["id"]).to_dict()
 
 
 def _bol_report(gw: Gateway, params, query, body):

@@ -15,13 +15,14 @@ from __future__ import annotations
 import itertools
 import threading
 import time
+from collections import ChainMap
 from dataclasses import replace
 from pathlib import Path
 from typing import Any, Callable, Iterable
 
 from . import ids as idmod
 from . import ledger as ledgermod
-from . import lineage, model, runtime
+from . import lineage, manifest, model, runtime
 from .canonical import canonical_bytes, from_canonical
 from .errors import (
     AlreadySealed,
@@ -282,7 +283,7 @@ class Gateway:
             run = self._runs.get(bol_id)
             return run.header.anchor if run is not None else None
 
-    def _require_component(self, component_id: str) -> ComponentRecord:
+    def require_component(self, component_id: str) -> ComponentRecord:
         component = self.get_component(component_id)
         if component is None:
             raise UnknownId(f"unknown component {component_id}", detail={"id": component_id})
@@ -300,7 +301,7 @@ class Gateway:
             raise UnknownBol(f"unknown BoL {bol_id}", detail={"id": bol_id})
         return run
 
-    def _require_bol(self, bol_id: str) -> Bol:
+    def require_bol(self, bol_id: str) -> Bol:
         with self._lock:
             return self._require_run(bol_id).snapshot()
 
@@ -374,10 +375,13 @@ class Gateway:
 
     def define_bom(self, manifest_doc: dict[str, Any], now: int | None = None) -> Bom:
         """Create a BoM, plus any inline components and assemblies, atomically."""
-        from .manifest import define_bom as compile_manifest
-
         with self._lock:
-            bom = compile_manifest(self, manifest_doc, self._now(now))
+            staged = manifest.define_bom(self, manifest_doc)
+            self._check_bom(staged.assembly_ids, staged=staged)
+            bom = Bom(self.ids.new_id(idmod.BOM), staged.name, staged.description,
+                      staged.assembly_ids, frozen=False, created_at=self._now(now))
+            records = [*staged.components.values(), *staged.assemblies.values(), bom]
+            self._commit([self._write(record) for record in records])
             return self._boms[bom.id]
 
     def update_bom(
@@ -406,11 +410,7 @@ class Gateway:
                 for aid in new_ids:
                     if self.get_assembly(aid) is None:
                         raise DanglingRef(f"unknown assembly {aid}", detail={"id": aid})
-                report = self._validate(new_ids, candidate_bom_id=bom_id)
-                if not report.ok:
-                    raise ValidationFailed(
-                        "BoM structure is invalid", detail={"report": report.to_dict()}
-                    )
+                self._check_bom(new_ids, bom_id)
                 bom = replace(bom, assemblies=new_ids)
             if expected_revision is None:
                 expected_revision = self.store.get(bom_id).revision
@@ -419,16 +419,28 @@ class Gateway:
 
     # -- validation ---------------------------------------------------------
 
-    def _validate(
-        self, candidate_assembly_ids: Iterable[str], candidate_bom_id: str | None
+    def _check_bom(
+        self,
+        assembly_ids: Iterable[str],
+        bom_id: str | None = None,
+        staged: manifest.Staged | None = None,
+        refusal: str | None = "BoM structure is invalid",
     ) -> ValidationReport:
-        return model.validate_structure(
-            candidate_assembly_ids,
-            candidate_bom_id,
-            self._assemblies,
-            self._all_boms(),
-            self.get_component,
+        """The one check of a BoM's structure, over the held maps and any ``staged`` records.
+
+        ``bom_id`` names the held BoM whose list ``assembly_ids`` would replace.
+        A failed report raises ``ValidationFailed`` unless ``refusal`` is None.
+        """
+        assemblies, components = self._assemblies, self._components
+        if staged is not None:
+            assemblies = ChainMap(staged.assemblies, assemblies)
+            components = ChainMap(staged.components, components)
+        report = model.validate_structure(
+            assembly_ids, bom_id, assemblies, self._all_boms(), components.get
         )
+        if refusal is not None and not report.ok:
+            raise ValidationFailed(refusal, detail={"report": report.to_dict()})
+        return report
 
     def validate_bom(
         self,
@@ -438,9 +450,8 @@ class Gateway:
         """Validate a stored BoM, or a candidate assembly list."""
         with self._lock:
             if bom_id is not None:
-                bom = self._require_bom(bom_id)
-                return self._validate(bom.assemblies, candidate_bom_id=bom_id)
-            return self._validate(tuple(assembly_ids or ()), candidate_bom_id=None)
+                assembly_ids = self._require_bom(bom_id).assemblies
+            return self._check_bom(tuple(assembly_ids or ()), bom_id, refusal=None)
 
     # -- BoL runtime ---------------------------------------------------------
 
@@ -453,11 +464,7 @@ class Gateway:
             if not bom.frozen:
                 # a frozen BoM passed this check when it froze, and every BoM
                 # stored since was validated against it, so it still passes
-                report = self._validate(bom.assemblies, candidate_bom_id=bom_id)
-                if not report.ok:
-                    raise ValidationFailed(
-                        "BoM failed validation", detail={"report": report.to_dict()}
-                    )
+                self._check_bom(bom.assemblies, bom_id, refusal="BoM failed validation")
                 freeze.append(
                     self._write(replace(bom, frozen=True), self.store.get(bom_id).revision)
                 )
@@ -484,7 +491,7 @@ class Gateway:
                     f"component {component_id} is not part of BoL {bol_id}'s BoM",
                     detail={"bol_id": bol_id, "component_id": component_id},
                 )
-            return dict(self._require_component(component_id).access_metadata)
+            return dict(self.require_component(component_id).access_metadata)
 
     def record_observation(
         self,
@@ -587,7 +594,7 @@ class Gateway:
 
     def find_uses(self, component_id: str) -> lineage.ComponentUses:
         with self._lock:
-            self._require_component(component_id)
+            self.require_component(component_id)
             return lineage.component_uses(
                 component_id, self._boms.values(), self._assemblies, self._bols_by_bom
             )
@@ -596,7 +603,7 @@ class Gateway:
         with self._lock:
             bom = self._require_bom(bom_id)
             components = {
-                cid: self._require_component(cid)
+                cid: self.require_component(cid)
                 for aid in bom.assemblies
                 for cid in self._assemblies[aid].components
             }

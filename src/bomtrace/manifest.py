@@ -22,26 +22,26 @@ assembly ids. Declared names must be unique within the file.
       ]
     }
 
-Compilation is atomic: every component, assembly, and the BoM itself are
-validated first and then committed to the store in a single transaction.
+Compilation only stages: it issues ids for the new components and
+assemblies and checks each of them, but stores nothing. The gateway then
+checks the BoM's structure and commits the staged records and the BoM in one
+transaction.
 """
 
 from __future__ import annotations
 
-from typing import Any
+from typing import Any, NamedTuple
 
 from . import ids as idmod
-from .errors import DanglingRef, MalformedBody, ValidationFailed
+from .errors import DanglingRef, MalformedBody
 from .model import (
     ROLES,
     Assembly,
-    Bom,
     ComponentKind,
     ComponentRecord,
     check_assembly_lists,
     normalize_metadata,
     require_name,
-    validate_structure,
 )
 
 _COMPONENT_KEYS = {"name", "kind", "description", "metadata"}
@@ -75,15 +75,25 @@ def _kind(value: Any) -> ComponentKind:
         raise MalformedBody(f"unknown component kind {value!r}") from None
 
 
+class Staged(NamedTuple):
+    """A compiled manifest, not yet stored: the BoM's fields and the new records by id."""
+
+    name: str
+    description: str | None
+    assembly_ids: tuple[str, ...]
+    components: dict[str, ComponentRecord]
+    assemblies: dict[str, Assembly]
+
+
 class _Compiler:
-    """Two-phase manifest build: stage everything, then commit one txn."""
+    """Stages a manifest's new records; reads stored ones only through the gateway."""
 
     def __init__(self, gateway):
         self.gateway = gateway
         self.declared: dict[str, ComponentRecord] = {}  # file-scope name -> record
         self.used_names: set[str] = set()  # names are unique across the whole file
-        self.new_components: list[ComponentRecord] = []
-        self.new_assemblies: list[Assembly] = []
+        self.new_components: dict[str, ComponentRecord] = {}
+        self.new_assemblies: dict[str, Assembly] = {}
 
     def _claim_name(self, name: str) -> None:
         require_name(name)
@@ -103,7 +113,7 @@ class _Compiler:
             access_metadata=normalize_metadata(doc.get("metadata")),
         )
         self.declared[name] = record
-        self.new_components.append(record)
+        self.new_components[record.id] = record
         return record
 
     def _component_from_doc(self, doc: dict[str, Any], kind: ComponentKind) -> str:
@@ -130,12 +140,6 @@ class _Compiler:
             )
         return self._component_from_doc(entry, kind)
 
-    def _lookup_pending_or_stored(self, cid: str) -> ComponentRecord | None:
-        for record in self.new_components:
-            if record.id == cid:
-                return record
-        return self.gateway.get_component(cid)
-
     def _build_assembly(self, doc: dict[str, Any]) -> str:
         _require(isinstance(doc, dict), "assembly entries must be objects or ids")
         unknown = set(doc) - _ASSEMBLY_KEYS
@@ -145,17 +149,19 @@ class _Compiler:
             attribute: tuple(self._resolve_entry(entry, kind) for entry in _list(doc, key))
             for key, attribute, kind in ROLES
         }
-        check_assembly_lists(members, self._lookup_pending_or_stored)
+        check_assembly_lists(
+            members, lambda cid: self.new_components.get(cid) or self.gateway.get_component(cid)
+        )
         assembly = Assembly(
             id=self.gateway.ids.new_id(idmod.ASSEMBLY),
             name=doc["name"],
             description=_description(doc),
             **members,
         )
-        self.new_assemblies.append(assembly)
+        self.new_assemblies[assembly.id] = assembly
         return assembly.id
 
-    def compile(self, doc: dict[str, Any], now: int) -> Bom:
+    def compile(self, doc: dict[str, Any]) -> Staged:
         _require(isinstance(doc, dict), "manifest must be a JSON object")
         unknown = set(doc) - _MANIFEST_KEYS
         _require(not unknown, f"unknown manifest keys: {sorted(unknown)}")
@@ -176,34 +182,11 @@ class _Compiler:
             else:
                 assembly_ids.append(self._build_assembly(entry))
 
-        assemblies_by_id = {
-            **self.gateway._assemblies, **{a.id: a for a in self.new_assemblies}
-        }
-        report = validate_structure(
-            assembly_ids,
-            None,
-            assemblies_by_id,
-            self.gateway._all_boms(),
-            self._lookup_pending_or_stored,
+        return Staged(
+            doc["name"], description, tuple(assembly_ids), self.new_components, self.new_assemblies
         )
-        if not report.ok:
-            raise ValidationFailed(
-                "BoM structure is invalid", detail={"report": report.to_dict()}
-            )
-
-        bom = Bom(
-            id=self.gateway.ids.new_id(idmod.BOM),
-            name=doc["name"],
-            description=description,
-            assemblies=tuple(assembly_ids),
-            frozen=False,
-            created_at=now,
-        )
-        records = [*self.new_components, *self.new_assemblies, bom]
-        self.gateway._commit([self.gateway._write(record) for record in records])
-        return bom
 
 
-def define_bom(gateway, doc: dict[str, Any], now: int) -> Bom:
-    """Compile and atomically persist a manifest document."""
-    return _Compiler(gateway).compile(doc, now)
+def define_bom(gateway, doc: dict[str, Any]) -> Staged:
+    """Compile a manifest document into staged records; nothing is stored."""
+    return _Compiler(gateway).compile(doc)
