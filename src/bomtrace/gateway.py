@@ -15,7 +15,6 @@ from __future__ import annotations
 import itertools
 import threading
 import time
-from collections import ChainMap
 from dataclasses import replace
 from pathlib import Path
 from typing import Any, Callable, Iterable
@@ -431,12 +430,12 @@ class Gateway:
         ``bom_id`` names the held BoM whose list ``assembly_ids`` would replace.
         A failed report raises ``ValidationFailed`` unless ``refusal`` is None.
         """
-        assemblies, components = self._assemblies, self._components
-        if staged is not None:
-            assemblies = ChainMap(staged.assemblies, assemblies)
-            components = ChainMap(staged.components, components)
+        get_assembly, get_component = self._assemblies.get, self._components.get
+        if staged is not None:  # staged records over the held maps, without copying either
+            get_assembly = lambda aid, held=get_assembly: staged.assemblies.get(aid) or held(aid)
+            get_component = lambda cid, held=get_component: staged.components.get(cid) or held(cid)
         report = model.validate_structure(
-            assembly_ids, bom_id, assemblies, self._all_boms(), components.get
+            assembly_ids, bom_id, get_assembly, self._all_boms(), get_component
         )
         if refusal is not None and not report.ok:
             raise ValidationFailed(refusal, detail={"report": report.to_dict()})

@@ -299,7 +299,7 @@ def find_cycle_nodes(edges: set[tuple[str, str]]) -> set[str]:
 def validate_structure(
     candidate_assembly_ids: Iterable[str],
     candidate_bom_id: str | None,
-    assemblies_by_id: Mapping[str, Assembly],
+    get_assembly: Callable[[str], Assembly | None],
     stored_boms: Iterable[Bom],
     get_component: Callable[[str], ComponentRecord | None],
 ) -> ValidationReport:
@@ -332,11 +332,12 @@ def validate_structure(
             continue
         for aid in bom.assemblies:
             owner[aid] = bom.id
-            if aid in assemblies_by_id:
-                member_assemblies[aid] = assemblies_by_id[aid]
+            assembly = get_assembly(aid)
+            if assembly is not None:
+                member_assemblies[aid] = assembly
 
     for aid in dict.fromkeys(candidate):
-        assembly = assemblies_by_id.get(aid)
+        assembly = get_assembly(aid)
         if assembly is None:
             violations.append(
                 Violation(VIOLATION_DANGLING_REF, aid, "assembly does not exist")

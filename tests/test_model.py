@@ -161,7 +161,7 @@ def test_validation_reports_each_role_member(role, attribute, kind):
         "as_" + "3" * 32, "a", None, **{**members, attribute: (wrong.id, missing)}
     )
     report = validate_structure(
-        [assembly.id], None, {assembly.id: assembly}, [], {wrong.id: wrong}.get
+        [assembly.id], None, {assembly.id: assembly}.get, [], {wrong.id: wrong}.get
     )
     assert set(report.violations) == {
         Violation(
