@@ -22,8 +22,8 @@ from typing import Any, Callable
 from urllib.parse import parse_qsl
 
 from . import __version__
-from .canonical import canonical_bytes
-from .errors import BodyTooLarge, BomTraceError, MalformedBody, UnknownId, UnknownRoute
+from .canonical import Encoded, canonical_bytes
+from .errors import BodyTooLarge, BomTraceError, MalformedBody, UnknownRoute
 from .gateway import Gateway
 from .ids import REQUEST
 from .ledger import InclusionProof, verify_inclusion
@@ -114,10 +114,7 @@ def _create_assembly(gw: Gateway, params, query, body):
 
 
 def _get_assembly(gw: Gateway, params, query, body):
-    assembly = gw.get_assembly(params["id"])
-    if assembly is None:
-        raise UnknownId(f"unknown assembly {params['id']}")
-    return assembly.to_dict()
+    return gw.require_assembly(params["id"]).to_dict()
 
 
 def _define_bom(gw: Gateway, params, query, body):
@@ -147,11 +144,11 @@ def _instantiate_bol(gw: Gateway, params, query, body):
 
 
 def _get_bol(gw: Gateway, params, query, body):
-    return gw.require_bol(params["id"]).to_dict()
+    return gw.encoded_bol(params["id"])
 
 
 def _bol_report(gw: Gateway, params, query, body):
-    return gw.lineage_report(params["id"]).to_dict()
+    return gw.encoded_report(params["id"])
 
 
 def _record_observation(gw: Gateway, params, query, body):
@@ -642,7 +639,6 @@ def dispatch(
         if route.request is not None:
             _check_body(route.request, parsed_body)
 
-        ledger_before = gateway.ledger.count
         if route.name == "schema":
             result = _schema(gateway, params, query, parsed_body, base_path=base_path)
         else:
@@ -650,10 +646,13 @@ def dispatch(
         if route.mutation:
             request_id = gateway.request_ids.new_id(REQUEST)
             result = {"request_id": request_id, **result}
+            committed = gateway.committed_entries()
             logger.info(
                 "request %s: %s %s -> ledger entries [%d..%d)",
-                request_id, method, path, ledger_before, gateway.ledger.count,
+                request_id, method, path, committed.start, committed.stop,
             )
+        if isinstance(result, Encoded):  # canonical JSON already
+            return route.success_status, JSON_TYPE, result
         if isinstance(result, bytes):
             return route.success_status, NDJSON_TYPE, result
         return route.success_status, JSON_TYPE, canonical_bytes(result)

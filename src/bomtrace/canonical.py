@@ -17,7 +17,7 @@ from __future__ import annotations
 import json
 import unicodedata
 from json.scanner import make_scanner
-from typing import Any
+from typing import Any, Iterable
 
 # the scanner that json.loads runs, called without its Python wrappers
 _scan_once = make_scanner(json.JSONDecoder())
@@ -27,6 +27,16 @@ _encode = json.JSONEncoder(ensure_ascii=False, sort_keys=True, separators=(",", 
 
 class CanonicalEncodingError(ValueError):
     """Value cannot be represented in canonical JSON."""
+
+
+def _normal_key(key: Any, seen: dict[str, Any]) -> str:
+    """``key`` NFC-normalized; it must be a string, and not one of ``seen`` once normalized."""
+    if not isinstance(key, str):
+        raise CanonicalEncodingError(f"object keys must be strings, got {key!r}")
+    norm_key = unicodedata.normalize("NFC", key)
+    if norm_key in seen:
+        raise CanonicalEncodingError(f"duplicate key after NFC normalization: {norm_key!r}")
+    return norm_key
 
 
 def _normalize(value: Any) -> Any:
@@ -41,12 +51,7 @@ def _normalize(value: Any) -> Any:
     if isinstance(value, dict):
         out: dict[str, Any] = {}
         for key, item in value.items():
-            if not isinstance(key, str):
-                raise CanonicalEncodingError(f"object keys must be strings, got {key!r}")
-            norm_key = unicodedata.normalize("NFC", key)
-            if norm_key in out:
-                raise CanonicalEncodingError(f"duplicate key after NFC normalization: {norm_key!r}")
-            out[norm_key] = _normalize(item)
+            out[_normal_key(key, out)] = _normalize(item)
         return out
     if isinstance(value, (list, tuple)):
         return [_normalize(item) for item in value]
@@ -66,6 +71,37 @@ def canonical_encode(value: Any) -> tuple[Any, bytes]:
 def canonical_bytes(value: Any) -> bytes:
     """Encode ``value`` as canonical JSON bytes."""
     return canonical_encode(value)[1]
+
+
+class Encoded(bytes):
+    """Canonical JSON bytes of one value, which :func:`canonical_join` embeds as they are."""
+
+
+def encoded_array(items: Iterable[bytes]) -> Encoded:
+    """The canonical array whose items are the canonical bytes ``items``."""
+    return Encoded(b"[" + b",".join(items) + b"]")
+
+
+def canonical_join(value: Any) -> Encoded:
+    """``canonical_bytes(value)``, where each ``Encoded`` in ``value`` stands for the value it encodes.
+
+    Canonical encoding is compositional: a nested value encodes exactly as it
+    does alone, and NFC applies string by string. So only the containers
+    around the encoded parts are walked, and their keys are normalized,
+    refused when duplicated and sorted as :func:`canonical_bytes` does.
+    """
+    if isinstance(value, Encoded):
+        return value
+    if isinstance(value, dict):
+        members: dict[str, bytes] = {}
+        for key, item in value.items():
+            members[_normal_key(key, members)] = canonical_join(item)
+        return Encoded(b"{" + b",".join(
+            _encode(key).encode("utf-8") + b":" + members[key] for key in sorted(members)
+        ) + b"}")
+    if isinstance(value, (list, tuple)):
+        return encoded_array(map(canonical_join, value))
+    return Encoded(_encode(_normalize(value)).encode("utf-8"))
 
 
 def parse_json(text: str) -> Any:

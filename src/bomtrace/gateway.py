@@ -1,9 +1,12 @@
 """Gateway facade: every read and mutation over one data directory.
 
-Mutations are serialized by a single writer lock and commit atomically —
-an operation's record writes and its ledger entries go to the store in one
-transaction. Reads take the same lock briefly so they observe committed
-state only.
+Two locks guard a gateway, always taken in this order. The commit lock
+serializes mutations: each holds it for its whole body, and commits
+atomically, its record writes and ledger entries in one store transaction
+and one fsync. The held-state lock guards the in-memory state that answers
+reads. A read takes it alone; a mutation takes it only to check that state
+and to apply what its commit stored, never across the fsync. So a read waits
+at most for an apply, and sees only committed, durable state.
 
 Timestamps are integer milliseconds since the Unix epoch. Library callers
 may pass ``now`` explicitly (tests do); otherwise the gateway's clock is
@@ -15,14 +18,15 @@ from __future__ import annotations
 import itertools
 import threading
 import time
+from contextlib import contextmanager
 from dataclasses import replace
 from pathlib import Path
-from typing import Any, Callable, Iterable
+from typing import Any, Callable, Iterable, Iterator
 
 from . import ids as idmod
 from . import ledger as ledgermod
 from . import lineage, manifest, model, runtime
-from .canonical import canonical_bytes, from_canonical
+from .canonical import Encoded, canonical_bytes, canonical_join, encoded_array, from_canonical
 from .errors import (
     AlreadySealed,
     BolNotSealed,
@@ -51,14 +55,9 @@ from .store import (
 
 _UNSET = object()
 
-# Each model record's store kind, with its type and the Gateway map that
-# holds the decoded records of that kind
-_RECORD_KINDS = {
-    KIND_COMPONENT: (ComponentRecord, "_components"),
-    KIND_ASSEMBLY: (Assembly, "_assemblies"),
-    KIND_BOM: (Bom, "_boms"),
-}
-_STORE_KIND = {cls: kind for kind, (cls, _) in _RECORD_KINDS.items()}
+# Each model record's store kind, with its type
+_RECORD_KINDS = {KIND_COMPONENT: ComponentRecord, KIND_ASSEMBLY: Assembly, KIND_BOM: Bom}
+_STORE_KIND = {cls: kind for kind, cls in _RECORD_KINDS.items()}
 
 
 def wall_clock_ms() -> int:
@@ -76,10 +75,11 @@ class _Run:
     None until a replayed leaf is encoded. ``tree`` holds the anchor leaves
     and the Merkle levels over them, built on first use; ``Gateway._apply``
     drops it whenever an observation is added, so it always covers the
-    observations held.
+    observations held. ``rendered`` holds the canonical bytes of each
+    observation's ``to_dict()``, rendered on the first read that needs them.
     """
 
-    __slots__ = ("header", "observations", "leaves", "digests", "tree")
+    __slots__ = ("header", "observations", "leaves", "digests", "tree", "rendered")
 
     def __init__(self, header: Bol, component_ids: Iterable[str]):
         self.header = header
@@ -87,6 +87,7 @@ class _Run:
         self.leaves: dict[str, list[bytes | None]] = {cid: [] for cid in self.observations}
         self.digests: dict[str, list[bytes | None]] = {cid: [] for cid in self.observations}
         self.tree: tuple[list[bytes], list[list[bytes]]] | None = None
+        self.rendered: dict[str, list[bytes]] = {cid: [] for cid in self.observations}
 
     def merkle_tree(self) -> tuple[list[bytes], list[list[bytes]]]:
         """The anchor leaves and every Merkle level over them, built once.
@@ -113,6 +114,18 @@ class _Run:
             self.tree = (leaves, ledgermod.digest_levels(digests))
         return self.tree
 
+    def observation_arrays(self) -> dict[str, Encoded]:
+        """Each shadow item's observations as one canonical JSON array.
+
+        Only the observations added since the last call are rendered.
+        """
+        arrays = {}
+        for cid, observations in self.observations.items():
+            rendered = self.rendered[cid]
+            rendered += [canonical_bytes(o.to_dict()) for o in observations[len(rendered):]]
+            arrays[cid] = encoded_array(rendered)
+        return arrays
+
     def snapshot(self) -> Bol:
         return replace(
             self.header,
@@ -137,6 +150,9 @@ class Gateway:
         self._components: dict[str, ComponentRecord] = {}
         self._assemblies: dict[str, Assembly] = {}
         self._boms: dict[str, Bom] = {}
+        # a frozen BoM's static graph and detail as canonical bytes, rendered
+        # on the first report read that needs them
+        self._frozen_parts: dict[str, tuple[Encoded, Encoded]] = {}
         for kind in _RECORD_KINDS:
             for record in self.store.scan(kind):
                 self._hold(record)
@@ -166,7 +182,9 @@ class Gateway:
             start=self.store.transaction_count + 1,
         )
         self._clock = clock or wall_clock_ms
-        self._lock = threading.RLock()
+        self._commit_lock = threading.Lock()
+        self._lock = threading.RLock()  # the held-state lock
+        self._local = threading.local()
 
     def close(self) -> None:
         self.store.close()
@@ -243,12 +261,29 @@ class Gateway:
     def _now(self, now: int | None) -> int:
         return self._clock() if now is None else now
 
+    @contextmanager
+    def _committing(self) -> Iterator[None]:
+        """Hold the commit lock; then note which ledger entries the call committed."""
+        with self._commit_lock:
+            first = self.ledger.count
+            try:
+                yield
+            finally:
+                self._local.committed = range(first, self.ledger.count)
+
+    def committed_entries(self) -> range:
+        """The indexes of the ledger entries that this thread's last mutation committed."""
+        return getattr(self._local, "committed", range(0))
+
     # -- record access ---------------------------------------------------
 
-    def _hold(self, record: StoredRecord | WriteOp) -> None:
-        """Keep the typed form of a model record, decoded from its stored bytes."""
-        cls, held = _RECORD_KINDS[record.kind]
-        getattr(self, held)[record.key] = cls.from_dict(from_canonical(record.data))
+    def _hold(self, record: StoredRecord | WriteOp) -> ComponentRecord | Assembly | Bom:
+        """Keep the typed form of a model record, decoded from its stored bytes; returns it."""
+        held = {KIND_COMPONENT: self._components, KIND_ASSEMBLY: self._assemblies,
+                KIND_BOM: self._boms}[record.kind]
+        decoded = _RECORD_KINDS[record.kind].from_dict(from_canonical(record.data))
+        held[record.key] = decoded
+        return decoded
 
     @staticmethod
     def _write(record: ComponentRecord | Assembly | Bom, expected_revision: int = 0) -> WriteOp:
@@ -256,20 +291,26 @@ class Gateway:
         kind = _STORE_KIND[type(record)]
         return WriteOp(record.id, kind, canonical_bytes(record.to_dict()), expected_revision)
 
-    def _commit(self, writes: list[WriteOp]) -> None:
-        """Commit model records in one transaction, then hold what was stored."""
+    def _commit(self, writes: list[WriteOp]) -> Any:
+        """Commit model records in one transaction, then hold what was stored.
+
+        Returns the held form of the last record, exactly as it was stored.
+        """
         self.store.put_many(writes)
-        for op in writes:
-            self._hold(op)
+        with self._lock:
+            return [self._hold(op) for op in writes][-1]
 
     def get_component(self, component_id: str) -> ComponentRecord | None:
-        return self._components.get(component_id)
+        with self._lock:
+            return self._components.get(component_id)
 
     def get_assembly(self, assembly_id: str) -> Assembly | None:
-        return self._assemblies.get(assembly_id)
+        with self._lock:
+            return self._assemblies.get(assembly_id)
 
     def get_bom(self, bom_id: str) -> Bom | None:
-        return self._boms.get(bom_id)
+        with self._lock:
+            return self._boms.get(bom_id)
 
     def get_bol(self, bol_id: str) -> Bol | None:
         with self._lock:
@@ -287,6 +328,12 @@ class Gateway:
         if component is None:
             raise UnknownId(f"unknown component {component_id}", detail={"id": component_id})
         return component
+
+    def require_assembly(self, assembly_id: str) -> Assembly:
+        assembly = self.get_assembly(assembly_id)
+        if assembly is None:
+            raise UnknownId(f"unknown assembly {assembly_id}", detail={"id": assembly_id})
+        return assembly
 
     def _require_bom(self, bom_id: str) -> Bom:
         bom = self.get_bom(bom_id)
@@ -324,7 +371,7 @@ class Gateway:
         kind = ComponentKind(kind)
         model.require_name(name)
         metadata = model.normalize_metadata(access_metadata)
-        with self._lock:
+        with self._committing():
             component = ComponentRecord(
                 id=self.ids.new_id(kind.id_prefix),
                 kind=kind,
@@ -332,9 +379,7 @@ class Gateway:
                 description=description,
                 access_metadata=metadata,
             )
-            self._commit([self._write(component)])
-            # the caller holds exactly the stored (canonical) form
-            return self._components[component.id]
+            return self._commit([self._write(component)])
 
     def create_assembly(
         self,
@@ -348,7 +393,7 @@ class Gateway:
         model.require_name(name)
         lists = (input_data, input_artifacts, output_data, output_artifacts)
         members = {role[1]: tuple(ids) for role, ids in zip(model.ROLES, lists)}
-        with self._lock:
+        with self._committing():
             model.check_assembly_lists(members, self.get_component)
             assembly = Assembly(
                 id=self.ids.new_id(idmod.ASSEMBLY),
@@ -356,8 +401,7 @@ class Gateway:
                 description=description,
                 **members,
             )
-            self._commit([self._write(assembly)])
-            return self._assemblies[assembly.id]
+            return self._commit([self._write(assembly)])
 
     def create_bom(
         self,
@@ -374,14 +418,13 @@ class Gateway:
 
     def define_bom(self, manifest_doc: dict[str, Any], now: int | None = None) -> Bom:
         """Create a BoM, plus any inline components and assemblies, atomically."""
-        with self._lock:
+        with self._committing():
             staged = manifest.define_bom(self, manifest_doc)
             self._check_bom(staged.assembly_ids, staged=staged)
             bom = Bom(self.ids.new_id(idmod.BOM), staged.name, staged.description,
                       staged.assembly_ids, frozen=False, created_at=self._now(now))
             records = [*staged.components.values(), *staged.assemblies.values(), bom]
-            self._commit([self._write(record) for record in records])
-            return self._boms[bom.id]
+            return self._commit([self._write(record) for record in records])
 
     def update_bom(
         self,
@@ -392,7 +435,7 @@ class Gateway:
         expected_revision: int | None = None,
     ) -> Bom:
         """Replace structural fields of an unfrozen BoM."""
-        with self._lock:
+        with self._committing():
             bom = self._require_bom(bom_id)
             if bom.frozen:
                 raise BomFrozen(
@@ -413,8 +456,7 @@ class Gateway:
                 bom = replace(bom, assemblies=new_ids)
             if expected_revision is None:
                 expected_revision = self.store.get(bom_id).revision
-            self._commit([self._write(bom, expected_revision)])
-            return self._boms[bom_id]
+            return self._commit([self._write(bom, expected_revision)])
 
     # -- validation ---------------------------------------------------------
 
@@ -430,13 +472,14 @@ class Gateway:
         ``bom_id`` names the held BoM whose list ``assembly_ids`` would replace.
         A failed report raises ``ValidationFailed`` unless ``refusal`` is None.
         """
-        get_assembly, get_component = self._assemblies.get, self._components.get
-        if staged is not None:  # staged records over the held maps, without copying either
-            get_assembly = lambda aid, held=get_assembly: staged.assemblies.get(aid) or held(aid)
-            get_component = lambda cid, held=get_component: staged.components.get(cid) or held(cid)
-        report = model.validate_structure(
-            assembly_ids, bom_id, get_assembly, self._all_boms(), get_component
-        )
+        with self._lock:
+            get_assembly, get_component = self._assemblies.get, self._components.get
+            if staged is not None:  # staged records over the held maps, without copying either
+                get_assembly = lambda aid, held=get_assembly: staged.assemblies.get(aid) or held(aid)
+                get_component = lambda cid, held=get_component: staged.components.get(cid) or held(cid)
+            report = model.validate_structure(
+                assembly_ids, bom_id, get_assembly, self._all_boms(), get_component
+            )
         if refusal is not None and not report.ok:
             raise ValidationFailed(refusal, detail={"report": report.to_dict()})
         return report
@@ -447,17 +490,16 @@ class Gateway:
         assembly_ids: Iterable[str] | None = None,
     ) -> ValidationReport:
         """Validate a stored BoM, or a candidate assembly list."""
-        with self._lock:
-            if bom_id is not None:
-                assembly_ids = self._require_bom(bom_id).assemblies
-            return self._check_bom(tuple(assembly_ids or ()), bom_id, refusal=None)
+        if bom_id is not None:
+            assembly_ids = self._require_bom(bom_id).assemblies
+        return self._check_bom(tuple(assembly_ids or ()), bom_id, refusal=None)
 
     # -- BoL runtime ---------------------------------------------------------
 
     def instantiate_bol(
         self, bom_id: str, run_label: str | None = None, now: int | None = None
     ) -> Bol:
-        with self._lock:
+        with self._committing():
             bom = self._require_bom(bom_id)
             freeze = []
             if not bom.frozen:
@@ -478,10 +520,11 @@ class Gateway:
             entry, created = self.ledger.append_entry(
                 ledgermod.BOL_CREATED, payload, extra_writes=freeze
             )
-            for op in freeze:
-                self._hold(op)
-            self._apply(ledgermod.BOL_CREATED, created, entry.index)
-            return self._runs[bol_id].snapshot()
+            with self._lock:
+                for op in freeze:
+                    self._hold(op)
+                self._apply(ledgermod.BOL_CREATED, created, entry.index)
+                return self._runs[bol_id].snapshot()
 
     def resolve_access(self, bol_id: str, component_id: str) -> dict[str, str]:
         with self._lock:
@@ -513,47 +556,51 @@ class Gateway:
         """Append an observation; also returns its index within the shadow item."""
         if not isinstance(payload, str) or not isinstance(note, (str, type(None))):
             raise TypeError("observation payload and note must be strings")
-        with self._lock:
-            run = self._require_run(bol_id)
-            if run.header.status is BolStatus.SEALED:
-                raise BolSealed(
-                    f"BoL {bol_id} is sealed; no further observations",
-                    detail={"id": bol_id},
-                )
-            observations = run.observations.get(component_id)
-            if observations is None:
-                raise ComponentNotInBom(
-                    f"component {component_id} is not part of BoL {bol_id}'s BoM",
-                    detail={"bol_id": bol_id, "component_id": component_id},
-                )
-            recorded_at = self._now(now)
-            if observations:
-                # timestamps within a shadow item never run backwards
-                recorded_at = max(recorded_at, observations[-1].recorded_at)
-            index = len(observations)
+        with self._committing():
+            with self._lock:
+                run = self._require_run(bol_id)
+                if run.header.status is BolStatus.SEALED:
+                    raise BolSealed(
+                        f"BoL {bol_id} is sealed; no further observations",
+                        detail={"id": bol_id},
+                    )
+                observations = run.observations.get(component_id)
+                if observations is None:
+                    raise ComponentNotInBom(
+                        f"component {component_id} is not part of BoL {bol_id}'s BoM",
+                        detail={"bol_id": bol_id, "component_id": component_id},
+                    )
+                recorded_at = self._now(now)
+                if observations:
+                    # timestamps within a shadow item never run backwards
+                    recorded_at = max(recorded_at, observations[-1].recorded_at)
+                index = len(observations)
             record = runtime.observation_record(
                 bol_id, component_id, index, Observation(recorded_at, payload, note)
             )
             # the ledger entry is the observation's only stored copy
             entry, stored = self.ledger.append_entry(ledgermod.OBSERVATION_RECORDED, record)
-            # hold the stored (canonical) form, as a reopen would replay it
-            self._apply(ledgermod.OBSERVATION_RECORDED, stored, entry.index, entry.payload)
-            return observations[-1], index
+            with self._lock:
+                # hold the stored (canonical) form, as a reopen would replay it
+                self._apply(ledgermod.OBSERVATION_RECORDED, stored, entry.index, entry.payload)
+                return observations[-1], index
 
     def seal_bol(self, bol_id: str, now: int | None = None) -> Anchor:
-        with self._lock:
-            run = self._require_run(bol_id)
-            if run.header.status is BolStatus.SEALED:
-                raise AlreadySealed(f"BoL {bol_id} is already sealed", detail={"id": bol_id})
-            leaves, levels = run.merkle_tree()
+        with self._committing():
+            with self._lock:
+                run = self._require_run(bol_id)
+                if run.header.status is BolStatus.SEALED:
+                    raise AlreadySealed(f"BoL {bol_id} is already sealed", detail={"id": bol_id})
+                leaves, levels = run.merkle_tree()
             entry, sealed = self.ledger.append_entry(ledgermod.BOL_SEALED, {
                 "bol_id": bol_id,
                 "leaf_count": len(leaves),
                 "merkle_root": levels[-1][0].hex(),
                 "sealed_at": self._now(now),
             })
-            self._apply(ledgermod.BOL_SEALED, sealed, entry.index)
-            return run.header.anchor
+            with self._lock:
+                self._apply(ledgermod.BOL_SEALED, sealed, entry.index)
+                return run.header.anchor
 
     # -- lineage queries ------------------------------------------------------
 
@@ -608,13 +655,16 @@ class Gateway:
             }
             return lineage.bom_detail(bom, self._assemblies, components)
 
+    def _bom_static(self, bom_id: str) -> tuple[Bom, lineage.LineageGraph, dict[str, Any]]:
+        """A BoM, with its static graph and its detail, as a lineage report shows them."""
+        bom = self._require_bom(bom_id)
+        static = lineage.bom_static_graph(bom, [self._assemblies[aid] for aid in bom.assemblies])
+        return bom, static, self.bom_detail(bom_id)
+
     def lineage_report(self, bol_id: str) -> lineage.LineageReport:
         with self._lock:
             run = self._require_run(bol_id)
-            bom = self._require_bom(run.header.bom_id)
-            static = lineage.bom_static_graph(
-                bom, [self._assemblies[aid] for aid in bom.assemblies]
-            )
+            _, static, snapshot = self._bom_static(run.header.bom_id)
             dynamic = {
                 cid: tuple(observations) for cid, observations in run.observations.items()
             }
@@ -623,17 +673,46 @@ class Gateway:
                 static_graph=static,
                 dynamic=dynamic,
                 anchor=run.header.anchor,
-                bom_snapshot=self.bom_detail(bom.id),
+                bom_snapshot=snapshot,
             )
+
+    # -- answers joined from rendered parts ------------------------------------
+
+    def encoded_bol(self, bol_id: str) -> Encoded:
+        """``canonical_bytes(require_bol(bol_id).to_dict())``, joined from rendered parts."""
+        with self._lock:
+            run = self._require_run(bol_id)
+            return canonical_join(run.header.document({
+                cid: ShadowItem.document(cid, array)
+                for cid, array in run.observation_arrays().items()
+            }))
+
+    def encoded_report(self, bol_id: str) -> Encoded:
+        """``canonical_bytes(lineage_report(bol_id).to_dict())``, joined from rendered parts.
+
+        A frozen BoM cannot change, so its graph and detail are rendered once.
+        """
+        with self._lock:
+            run = self._require_run(bol_id)
+            parts = self._frozen_parts.get(run.header.bom_id)
+            if parts is None:
+                bom, static, snapshot = self._bom_static(run.header.bom_id)
+                parts = (Encoded(canonical_bytes(static.to_dict())),
+                         Encoded(canonical_bytes(snapshot)))
+                if bom.frozen:
+                    self._frozen_parts[bom.id] = parts
+            return canonical_join(lineage.LineageReport.document(
+                bol_id, parts[0], run.observation_arrays(), run.header.anchor, parts[1]
+            ))
 
     # -- ledger ---------------------------------------------------------------
 
     def verify_chain(self) -> tuple[bool, int | None]:
-        with self._lock:
+        with self._commit_lock:
             return self.ledger.verify_chain()
 
     def export_ledger(self) -> bytes:
-        with self._lock:
+        with self._commit_lock:
             return self.ledger.export()
 
     def inclusion_proof(self, bol_id: str, leaf_index: int) -> tuple[bytes, InclusionProof]:

@@ -64,17 +64,27 @@ class LineageReport:
     bom_snapshot: dict[str, Any]
 
     def to_dict(self) -> dict[str, Any]:
-        doc: dict[str, Any] = {
-            "bol_id": self.bol_id,
-            "static_graph": self.static_graph.to_dict(),
-            "dynamic": {
-                cid: [obs.to_dict() for obs in observations]
-                for cid, observations in self.dynamic.items()
-            },
-            "bom_snapshot": self.bom_snapshot,
+        dynamic = {
+            cid: [obs.to_dict() for obs in observations]
+            for cid, observations in self.dynamic.items()
         }
-        if self.anchor is not None:
-            doc["anchor"] = self.anchor.to_dict()
+        return self.document(
+            self.bol_id, self.static_graph.to_dict(), dynamic, self.anchor, self.bom_snapshot
+        )
+
+    @staticmethod
+    def document(
+        bol_id: str, static_graph: Any, dynamic: Any, anchor: Anchor | None, bom_snapshot: Any
+    ) -> dict[str, Any]:
+        """A report's document, around its rendered graph, observations and snapshot."""
+        doc: dict[str, Any] = {
+            "bol_id": bol_id,
+            "static_graph": static_graph,
+            "dynamic": dynamic,
+            "bom_snapshot": bom_snapshot,
+        }
+        if anchor is not None:
+            doc["anchor"] = anchor.to_dict()
         return doc
 
 

@@ -47,10 +47,12 @@ class ShadowItem:
     observations: tuple[Observation, ...] = ()
 
     def to_dict(self) -> dict[str, Any]:
-        return {
-            "component_id": self.component_id,
-            "observations": [obs.to_dict() for obs in self.observations],
-        }
+        return self.document(self.component_id, [obs.to_dict() for obs in self.observations])
+
+    @staticmethod
+    def document(component_id: str, observations: Any) -> dict[str, Any]:
+        """A shadow item's document, around its rendered ``observations``."""
+        return {"component_id": component_id, "observations": observations}
 
     @classmethod
     def from_dict(cls, doc: dict[str, Any]) -> "ShadowItem":
@@ -71,14 +73,16 @@ class Bol:
     anchor: Anchor | None = None
 
     def to_dict(self) -> dict[str, Any]:
+        return self.document({cid: item.to_dict() for cid, item in self.shadow_items.items()})
+
+    def document(self, shadow_items: Any) -> dict[str, Any]:
+        """This BoL's document, around its rendered ``shadow_items``."""
         doc: dict[str, Any] = {
             "id": self.id,
             "bom_id": self.bom_id,
             "created_at": self.created_at,
             "status": self.status.value,
-            "shadow_items": {
-                cid: item.to_dict() for cid, item in self.shadow_items.items()
-            },
+            "shadow_items": shadow_items,
         }
         if self.run_label is not None:
             doc["run_label"] = self.run_label

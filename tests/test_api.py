@@ -1,6 +1,9 @@
 import base64
 import copy
 import json
+import logging
+import sys
+import threading
 
 import pytest
 
@@ -524,6 +527,55 @@ def test_schema_stable_across_restarts(tmp_path):
     second = serve(tmp_path / "data")
     assert first == second
     assert first == canonical_bytes(build_schema())
+
+def test_unknown_entity_refusals_name_the_id(gw):
+    missing = "0" * 32
+    for path, code, what in [
+        ("/components/{}", "UNKNOWN_ID", "component"),
+        ("/assemblies/{}", "UNKNOWN_ID", "assembly"),
+        ("/boms/{}", "UNKNOWN_BOM", "BoM"),
+        ("/bols/{}", "UNKNOWN_BOL", "BoL"),
+    ]:
+        answer = (f'{{"code":"{code}","detail":{{"id":"{missing}"}},'
+                  f'"message":"unknown {what} {missing}"}}')
+        assert dispatch(gw, "GET", path.format(missing)) == (
+            404, "application/json", answer.encode()
+        ), path
+
+
+def test_each_request_logs_the_ledger_entries_it_committed(gw, caplog):
+    bom = define_hpc(gw)
+    result = component_by_name(bom, "Result")
+    bol_ids = [call(gw, "POST", f"/boms/{bom['id']}/bols", {})[1]["bol"]["id"]
+               for _ in range(2)]
+    first = gw.ledger.count
+    errors = []
+
+    def observe(bol_id):
+        try:
+            for i in range(200):
+                body = json.dumps({"component_id": result, "payload": str(i)}).encode()
+                status, _, data = dispatch(gw, "POST", f"/bols/{bol_id}/observations", "", body)
+                assert status == 201, data
+        except Exception as exc:  # noqa: BLE001 - any failure fails the test
+            errors.append(exc)
+
+    threads = [threading.Thread(target=observe, args=(bol_id,)) for bol_id in bol_ids]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        with caplog.at_level(logging.INFO, logger=api.logger.name):
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert errors == []
+    ranges = [record.args[3:] for record in caplog.records if record.name == api.logger.name]
+    assert len(ranges) == 400
+    assert sorted(ranges) == [(i, i + 1) for i in range(first, first + 400)]
 
 
 # -- error exhaustiveness -----------------------------------------------------

@@ -7,7 +7,9 @@ from hypothesis import strategies as st
 
 from bomtrace.canonical import (
     CanonicalEncodingError,
+    Encoded,
     canonical_bytes,
+    canonical_join,
     from_canonical,
     parse_json,
 )
@@ -99,6 +101,27 @@ def test_encoding_idempotent(value):
     except CanonicalEncodingError:
         return
     assert canonical_bytes(from_canonical(once)) == once
+
+
+@given(json_values, st.randoms(use_true_random=False))
+@example({"e\u0301": "\n\u0307", "\u00e9": [1]}, None)
+@example({"k": ["\n\u0307", {"e\u0301": None}], "\u212b": {}}, None)
+def test_joining_encoded_parts_gives_the_canonical_bytes(value, rnd):
+    """Any subtrees of ``value`` may come pre-encoded; the join is the same bytes, or the same refusal."""
+
+    def encode_some(v):
+        if rnd is not None and rnd.random() < 0.3:
+            try:
+                return Encoded(canonical_bytes(v))
+            except CanonicalEncodingError:
+                pass
+        if isinstance(v, list):
+            return [encode_some(x) for x in v]
+        if isinstance(v, dict):
+            return {k: encode_some(x) for k, x in v.items()}
+        return v
+
+    assert _outcome(canonical_join, encode_some(value)) == _outcome(canonical_bytes, value)
 
 
 # JSON whitespace, and two characters that are not
