@@ -18,10 +18,9 @@ from __future__ import annotations
 import itertools
 import threading
 import time
-from contextlib import contextmanager
 from dataclasses import replace
 from pathlib import Path
-from typing import Any, Callable, Iterable, Iterator
+from typing import Any, Callable, Iterable
 
 from . import ids as idmod
 from . import ledger as ledgermod
@@ -136,6 +135,30 @@ class _Run:
         )
 
 
+class _CommitLock:
+    """The commit lock; on release it notes, for the releasing thread, the
+    indexes of the ledger entries appended while that thread held it."""
+
+    __slots__ = ("_lock", "_ledger", "_local", "_first")
+
+    def __init__(self, ledger: Ledger):
+        self._lock = threading.Lock()
+        self._ledger = ledger
+        self._local = threading.local()
+        self._first = 0
+
+    def __enter__(self) -> None:
+        self._lock.acquire()
+        self._first = self._ledger.count
+
+    def __exit__(self, *exc_info: Any) -> None:
+        self._local.committed = range(self._first, self._ledger.count)
+        self._lock.release()
+
+    def committed(self) -> range:
+        return getattr(self._local, "committed", range(0))
+
+
 class Gateway:
     def __init__(
         self,
@@ -182,9 +205,8 @@ class Gateway:
             start=self.store.transaction_count + 1,
         )
         self._clock = clock or wall_clock_ms
-        self._commit_lock = threading.Lock()
+        self._commit_lock = _CommitLock(self.ledger)
         self._lock = threading.RLock()  # the held-state lock
-        self._local = threading.local()
 
     def close(self) -> None:
         self.store.close()
@@ -261,19 +283,9 @@ class Gateway:
     def _now(self, now: int | None) -> int:
         return self._clock() if now is None else now
 
-    @contextmanager
-    def _committing(self) -> Iterator[None]:
-        """Hold the commit lock; then note which ledger entries the call committed."""
-        with self._commit_lock:
-            first = self.ledger.count
-            try:
-                yield
-            finally:
-                self._local.committed = range(first, self.ledger.count)
-
     def committed_entries(self) -> range:
         """The indexes of the ledger entries that this thread's last mutation committed."""
-        return getattr(self._local, "committed", range(0))
+        return self._commit_lock.committed()
 
     # -- record access ---------------------------------------------------
 
@@ -371,7 +383,7 @@ class Gateway:
         kind = ComponentKind(kind)
         model.require_name(name)
         metadata = model.normalize_metadata(access_metadata)
-        with self._committing():
+        with self._commit_lock:
             component = ComponentRecord(
                 id=self.ids.new_id(kind.id_prefix),
                 kind=kind,
@@ -393,7 +405,7 @@ class Gateway:
         model.require_name(name)
         lists = (input_data, input_artifacts, output_data, output_artifacts)
         members = {role[1]: tuple(ids) for role, ids in zip(model.ROLES, lists)}
-        with self._committing():
+        with self._commit_lock:
             model.check_assembly_lists(members, self.get_component)
             assembly = Assembly(
                 id=self.ids.new_id(idmod.ASSEMBLY),
@@ -418,7 +430,7 @@ class Gateway:
 
     def define_bom(self, manifest_doc: dict[str, Any], now: int | None = None) -> Bom:
         """Create a BoM, plus any inline components and assemblies, atomically."""
-        with self._committing():
+        with self._commit_lock:
             staged = manifest.define_bom(self, manifest_doc)
             self._check_bom(staged.assembly_ids, staged=staged)
             bom = Bom(self.ids.new_id(idmod.BOM), staged.name, staged.description,
@@ -435,7 +447,7 @@ class Gateway:
         expected_revision: int | None = None,
     ) -> Bom:
         """Replace structural fields of an unfrozen BoM."""
-        with self._committing():
+        with self._commit_lock:
             bom = self._require_bom(bom_id)
             if bom.frozen:
                 raise BomFrozen(
@@ -490,16 +502,17 @@ class Gateway:
         assembly_ids: Iterable[str] | None = None,
     ) -> ValidationReport:
         """Validate a stored BoM, or a candidate assembly list."""
-        if bom_id is not None:
-            assembly_ids = self._require_bom(bom_id).assemblies
-        return self._check_bom(tuple(assembly_ids or ()), bom_id, refusal=None)
+        with self._lock:
+            if bom_id is not None:
+                assembly_ids = self._require_bom(bom_id).assemblies
+            return self._check_bom(tuple(assembly_ids or ()), bom_id, refusal=None)
 
     # -- BoL runtime ---------------------------------------------------------
 
     def instantiate_bol(
         self, bom_id: str, run_label: str | None = None, now: int | None = None
     ) -> Bol:
-        with self._committing():
+        with self._commit_lock:
             bom = self._require_bom(bom_id)
             freeze = []
             if not bom.frozen:
@@ -533,7 +546,8 @@ class Gateway:
                     f"component {component_id} is not part of BoL {bol_id}'s BoM",
                     detail={"bol_id": bol_id, "component_id": component_id},
                 )
-            return dict(self.require_component(component_id).access_metadata)
+            # a run's components are those of its BoM, so each is held
+            return dict(self._components[component_id].access_metadata)
 
     def record_observation(
         self,
@@ -556,7 +570,7 @@ class Gateway:
         """Append an observation; also returns its index within the shadow item."""
         if not isinstance(payload, str) or not isinstance(note, (str, type(None))):
             raise TypeError("observation payload and note must be strings")
-        with self._committing():
+        with self._commit_lock:
             with self._lock:
                 run = self._require_run(bol_id)
                 if run.header.status is BolStatus.SEALED:
@@ -586,7 +600,7 @@ class Gateway:
                 return observations[-1], index
 
     def seal_bol(self, bol_id: str, now: int | None = None) -> Anchor:
-        with self._committing():
+        with self._commit_lock:
             with self._lock:
                 run = self._require_run(bol_id)
                 if run.header.status is BolStatus.SEALED:
@@ -696,13 +710,13 @@ class Gateway:
             run = self._require_run(bol_id)
             parts = self._frozen_parts.get(run.header.bom_id)
             if parts is None:
-                bom, static, snapshot = self._bom_static(run.header.bom_id)
-                parts = (Encoded(canonical_bytes(static.to_dict())),
-                         Encoded(canonical_bytes(snapshot)))
+                bom, graph, detail = self._bom_static(run.header.bom_id)
+                parts = (Encoded(canonical_bytes(graph.to_dict())), Encoded(canonical_bytes(detail)))
                 if bom.frozen:
                     self._frozen_parts[bom.id] = parts
+            static_graph, bom_snapshot = parts
             return canonical_join(lineage.LineageReport.document(
-                bol_id, parts[0], run.observation_arrays(), run.header.anchor, parts[1]
+                bol_id, static_graph, run.observation_arrays(), run.header.anchor, bom_snapshot
             ))
 
     # -- ledger ---------------------------------------------------------------
