@@ -101,7 +101,7 @@ def canonical_join(value: Any) -> Encoded:
         ) + b"}")
     if isinstance(value, (list, tuple)):
         return encoded_array(map(canonical_join, value))
-    return Encoded(_encode(_normalize(value)).encode("utf-8"))
+    return Encoded(canonical_bytes(value))
 
 
 def parse_json(text: str) -> Any:
