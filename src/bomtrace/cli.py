@@ -257,10 +257,10 @@ def _build_request(
     if command == "bom define":
         body = json.loads(Path(args.file).read_text(encoding="utf-8"))
     elif command == "bol new":
-        body = {"run_label": args.label} if args.label else {}
+        body = {"run_label": args.label} if args.label is not None else {}
     elif command == "bol record":
         body = {"component_id": args.component, "payload": args.payload}
-        if args.note:
+        if args.note is not None:
             body["note"] = args.note
     elif command == "bol seal":
         body = {}

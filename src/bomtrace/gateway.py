@@ -8,9 +8,8 @@ reads. A read takes it alone; a mutation takes it only to check that state
 and to apply what its commit stored, never across the fsync. So a read waits
 at most for an apply, and sees only committed, durable state.
 
-Timestamps are integer milliseconds since the Unix epoch. Library callers
-may pass ``now`` explicitly (tests do); otherwise the gateway's clock is
-used, which defaults to wall time.
+Timestamps are integer milliseconds since the Unix epoch, each read from
+the gateway's clock, which defaults to wall time.
 """
 
 from __future__ import annotations
@@ -280,9 +279,6 @@ class Gateway:
                 raise ValueError(f"ledger entry {index} seals BoL {run.header.id} again")
             run.header = replace(run.header, status=BolStatus.SEALED, anchor=anchor)
 
-    def _now(self, now: int | None) -> int:
-        return self._clock() if now is None else now
-
     def committed_entries(self) -> range:
         """The indexes of the ledger entries that this thread's last mutation committed."""
         return self._commit_lock.committed()
@@ -367,10 +363,6 @@ class Gateway:
         with self._lock:
             return [self._boms[bom_id] for bom_id in sorted(self._boms)]
 
-    def _all_bols(self) -> list[Bol]:
-        with self._lock:
-            return [self._runs[bol_id].snapshot() for bol_id in sorted(self._runs)]
-
     # -- core model mutations ---------------------------------------------
 
     def create_component(
@@ -420,21 +412,20 @@ class Gateway:
         name: str,
         description: str | None = None,
         assembly_ids: Iterable[str] = (),
-        now: int | None = None,
     ) -> Bom:
         """Create a BoM over stored assemblies: a manifest that declares nothing."""
         doc: dict[str, Any] = {"name": name, "assemblies": list(assembly_ids)}
         if description is not None:
             doc["description"] = description
-        return self.define_bom(doc, now)
+        return self.define_bom(doc)
 
-    def define_bom(self, manifest_doc: dict[str, Any], now: int | None = None) -> Bom:
+    def define_bom(self, manifest_doc: dict[str, Any]) -> Bom:
         """Create a BoM, plus any inline components and assemblies, atomically."""
         with self._commit_lock:
             staged = manifest.define_bom(self, manifest_doc)
             self._check_bom(staged.assembly_ids, staged=staged)
             bom = Bom(self.ids.new_id(idmod.BOM), staged.name, staged.description,
-                      staged.assembly_ids, frozen=False, created_at=self._now(now))
+                      staged.assembly_ids, frozen=False, created_at=self._clock())
             records = [*staged.components.values(), *staged.assemblies.values(), bom]
             return self._commit([self._write(record) for record in records])
 
@@ -496,22 +487,14 @@ class Gateway:
             raise ValidationFailed(refusal, detail={"report": report.to_dict()})
         return report
 
-    def validate_bom(
-        self,
-        bom_id: str | None = None,
-        assembly_ids: Iterable[str] | None = None,
-    ) -> ValidationReport:
-        """Validate a stored BoM, or a candidate assembly list."""
+    def validate_bom(self, bom_id: str) -> ValidationReport:
+        """Validate a stored BoM."""
         with self._lock:
-            if bom_id is not None:
-                assembly_ids = self._require_bom(bom_id).assemblies
-            return self._check_bom(tuple(assembly_ids or ()), bom_id, refusal=None)
+            return self._check_bom(self._require_bom(bom_id).assemblies, bom_id, refusal=None)
 
     # -- BoL runtime ---------------------------------------------------------
 
-    def instantiate_bol(
-        self, bom_id: str, run_label: str | None = None, now: int | None = None
-    ) -> Bol:
+    def instantiate_bol(self, bom_id: str, run_label: str | None = None) -> Bol:
         with self._commit_lock:
             bom = self._require_bom(bom_id)
             freeze = []
@@ -526,7 +509,7 @@ class Gateway:
             payload: dict[str, Any] = {
                 "bol_id": bol_id,
                 "bom_id": bom_id,
-                "created_at": self._now(now),
+                "created_at": self._clock(),
             }
             if run_label is not None:
                 payload["run_label"] = run_label
@@ -555,9 +538,8 @@ class Gateway:
         component_id: str,
         payload: str,
         note: str | None = None,
-        now: int | None = None,
     ) -> Observation:
-        return self.record_observation_indexed(bol_id, component_id, payload, note, now)[0]
+        return self.record_observation_indexed(bol_id, component_id, payload, note)[0]
 
     def record_observation_indexed(
         self,
@@ -565,7 +547,6 @@ class Gateway:
         component_id: str,
         payload: str,
         note: str | None = None,
-        now: int | None = None,
     ) -> tuple[Observation, int]:
         """Append an observation; also returns its index within the shadow item."""
         if not isinstance(payload, str) or not isinstance(note, (str, type(None))):
@@ -584,7 +565,7 @@ class Gateway:
                         f"component {component_id} is not part of BoL {bol_id}'s BoM",
                         detail={"bol_id": bol_id, "component_id": component_id},
                     )
-                recorded_at = self._now(now)
+                recorded_at = self._clock()
                 if observations:
                     # timestamps within a shadow item never run backwards
                     recorded_at = max(recorded_at, observations[-1].recorded_at)
@@ -599,7 +580,7 @@ class Gateway:
                 self._apply(ledgermod.OBSERVATION_RECORDED, stored, entry.index, entry.payload)
                 return observations[-1], index
 
-    def seal_bol(self, bol_id: str, now: int | None = None) -> Anchor:
+    def seal_bol(self, bol_id: str) -> Anchor:
         with self._commit_lock:
             with self._lock:
                 run = self._require_run(bol_id)
@@ -610,7 +591,7 @@ class Gateway:
                 "bol_id": bol_id,
                 "leaf_count": len(leaves),
                 "merkle_root": levels[-1][0].hex(),
-                "sealed_at": self._now(now),
+                "sealed_at": self._clock(),
             })
             with self._lock:
                 self._apply(ledgermod.BOL_SEALED, sealed, entry.index)

@@ -34,12 +34,6 @@ def is_entity_id(value: str) -> bool:
     return bool(_ID_RE.match(value))
 
 
-def id_kind(value: str) -> str | None:
-    """Return the prefix of a well-formed entity id, else None."""
-    m = _ID_RE.match(value)
-    return value.split("_", 1)[0] if m else None
-
-
 def matches_kind(value: str, prefix: str) -> bool:
     pattern = _PREFIX_RE.get(prefix)
     return bool(pattern and pattern.match(value))

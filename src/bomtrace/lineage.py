@@ -99,18 +99,23 @@ def _adjacency(edges: Iterable[tuple[str, str]], reverse: bool) -> dict[str, set
 
 
 def closure(edges: set[tuple[str, str]], origin: str, backward: bool) -> LineageGraph:
-    """Origin plus everything reachable along (or against) the edges."""
+    """Origin plus everything reachable along (or against) the edges.
+
+    The edges between reached nodes are exactly those the walk crosses: it
+    crosses every edge into (or out of) each node it reaches.
+    """
     adj = _adjacency(edges, reverse=backward)
     reached = {origin}
+    crossed = set()
     frontier = [origin]
     while frontier:
         node = frontier.pop()
         for nxt in adj.get(node, ()):
+            crossed.add((nxt, node) if backward else (node, nxt))
             if nxt not in reached:
                 reached.add(nxt)
                 frontier.append(nxt)
-    induced = frozenset(e for e in edges if e[0] in reached and e[1] in reached)
-    return LineageGraph(origin=origin, nodes=frozenset(reached), edges=induced)
+    return LineageGraph(origin=origin, nodes=frozenset(reached), edges=frozenset(crossed))
 
 
 def component_uses(

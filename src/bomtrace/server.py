@@ -64,6 +64,12 @@ def read_fields(rfile: BinaryIO, what: str = "header field") -> dict[str, list[s
     raise MalformedBody(f"more than {_MAX_FIELDS} {what}s")
 
 
+def _tokens(values: list[str]) -> list[str]:
+    """The lowercased elements of a comma-separated list field, over all its lines
+    (RFC 9110 §5.3, §5.6.1)."""
+    return [token.strip().lower() for token in ",".join(values).split(",")]
+
+
 class _Handler(socketserver.StreamRequestHandler):
     # TCP_NODELAY: without it, a response written after the client's last
     # segment waits for the client's delayed ACK (about 40 ms on Linux)
@@ -91,8 +97,8 @@ class _Handler(socketserver.StreamRequestHandler):
                 raise MalformedBody(f"bad request line {line[:40].rstrip()!r}")
             method, target, version = (word.decode("latin-1") for word in words)
             fields = read_fields(self.rfile)
-            connection = fields.get("connection", [""])[0].lower()
-            close = connection == "close" or (version == "HTTP/1.0" and connection != "keep-alive")
+            connection = _tokens(fields.get("connection", []))
+            close = "close" in connection or (version == "HTTP/1.0" and "keep-alive" not in connection)
             if version == "HTTP/1.1" and fields.get("expect", [""])[0].lower() == "100-continue":
                 self.wfile.write(b"HTTP/1.1 100 Continue\r\n\r\n")
             body = self._read_body(fields)
@@ -122,7 +128,7 @@ class _Handler(socketserver.StreamRequestHandler):
         if codings is not None:
             if lengths is not None:
                 raise MalformedBody("request carries both Transfer-Encoding and Content-Length")
-            if [c.strip().lower() for c in ",".join(codings).split(",")] != ["chunked"]:
+            if _tokens(codings) != ["chunked"]:
                 raise MalformedBody(f"unsupported Transfer-Encoding {', '.join(codings)!r}")
             return self._read_chunked()
         if lengths is None:

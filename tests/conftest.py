@@ -22,9 +22,24 @@ def pytest_sessionfinish(session, exitstatus):
         print("[FAIL] suite exceeded the two-minute budget")
 
 
+class Clock:
+    """Milliseconds the test sets; the gateway reads it for every timestamp."""
+
+    def __init__(self, now: int):
+        self.now = now
+
+    def __call__(self) -> int:
+        return self.now
+
+
 @pytest.fixture
-def gw(tmp_path):
-    gateway = Gateway(tmp_path / "data", deterministic_ids=True, clock=lambda: FIXED_NOW)
+def clock():
+    return Clock(FIXED_NOW)
+
+
+@pytest.fixture
+def gw(tmp_path, clock):
+    gateway = Gateway(tmp_path / "data", deterministic_ids=True, clock=clock)
     yield gateway
     gateway.close()
 

@@ -37,6 +37,10 @@ def oracle_track(reach: dict[str, set[str]], origin: str) -> set[str]:
     return {origin} | reach[origin]
 
 
+def induced_edges(edges: set[tuple[str, str]], nodes: set[str]) -> set[tuple[str, str]]:
+    return {(src, dst) for src, dst in edges if src in nodes and dst in nodes}
+
+
 def has_cycle(reach: dict[str, set[str]]) -> bool:
     return any(node in targets for node, targets in reach.items())
 

@@ -61,6 +61,26 @@ def _scripted_run(workdir, capsys):
     return bom_id, bol_id, by_name, detail
 
 
+def test_empty_label_and_note_are_sent(workdir, capsys):
+    """An empty ``--label`` or ``--note`` is a value, distinct from an absent one."""
+    code, out, _ = run_cli(workdir, "bom", "define", str(workdir / "hpc.bom.json"), capsys=capsys)
+    assert code == 0
+    code, out, _ = run_cli(workdir, "bol", "new", out.strip(), "--label", "",
+                           json_mode=True, capsys=capsys)
+    assert code == 0
+    bol = json.loads(out)["bol"]
+    assert bol["run_label"] == ""
+    cid = sorted(bol["shadow_items"])[0]
+    code, out, _ = run_cli(workdir, "bol", "record", bol["id"], cid, "x", "--note", "",
+                           json_mode=True, capsys=capsys)
+    assert code == 0
+    assert json.loads(out)["observation"]["note"] == ""
+    code, out, _ = run_cli(workdir, "bol", "record", bol["id"], cid, "y",
+                           json_mode=True, capsys=capsys)
+    assert code == 0
+    assert "note" not in json.loads(out)["observation"]
+
+
 def test_scripted_case_study_trace(workdir, capsys):
     bom_id, bol_id, by_name, detail = _scripted_run(workdir, capsys)
     code, out, _ = run_cli(workdir, "trace", by_name["Result"], json_mode=True, capsys=capsys)

@@ -40,6 +40,7 @@ from pathlib import Path
 
 from bomtrace.api import MAX_BODY_BYTES, dispatch
 from bomtrace.gateway import Gateway
+from conftest import Clock
 
 GOLDEN = Path(__file__).parent / "golden"
 TRANSCRIPT = GOLDEN / "transcript.json"
@@ -65,16 +66,6 @@ MANIFEST = {
          "outputArtifacts": [{"name": "Model"}]},
     ],
 }
-
-
-class Clock:
-    """Milliseconds the script sets; the gateway reads it for every timestamp."""
-
-    def __init__(self, now: int):
-        self.now = now
-
-    def __call__(self) -> int:
-        return self.now
 
 
 class Session:

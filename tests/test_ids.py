@@ -64,8 +64,3 @@ def test_component_id_check():
     assert not ids.is_component_id("as_" + "a" * 32)
     assert not ids.is_component_id("ds_" + "A" * 32)  # uppercase hex rejected
     assert not ids.is_component_id("ds_" + "a" * 31)
-
-
-def test_id_kind():
-    assert ids.id_kind("bom_" + "f" * 32) == "bom"
-    assert ids.id_kind("nonsense") is None

@@ -1,9 +1,13 @@
-"""Modules keep to each other's public names.
+"""Modules keep to each other's public names, and the gateway to its clock.
 
 No module under ``src/bomtrace`` uses an ``_underscore`` attribute of
 anything but ``self`` or ``cls``: another object's private state, or another
 module's, is reached only through its public names. Dunder names are the
 language's, not a module's, and stay allowed.
+
+Every timestamp the gateway stores comes from its clock: no public
+``Gateway`` method takes a ``now``, and ``gateway.py`` uses a time module only
+inside ``wall_clock_ms``, the default clock.
 """
 
 import ast
@@ -39,3 +43,57 @@ def test_no_module_reads_another_objects_private_attributes():
         for line, expression in private_reads(path.read_text(encoding="utf-8"))
     ]
     assert found == []
+
+
+_TIME_MODULES = ("time", "datetime")
+
+
+def clock_bypasses(source: str) -> list[tuple[int, str]]:
+    """(line, what) for each way around the clock in a gateway module's source."""
+    tree = ast.parse(source)
+    found = []
+    inside_clock = set()
+    for node in tree.body:
+        if isinstance(node, ast.FunctionDef) and node.name == "wall_clock_ms":
+            inside_clock = {id(child) for child in ast.walk(node)}
+        if isinstance(node, ast.ClassDef) and node.name == "Gateway":
+            for method in node.body:
+                if isinstance(method, ast.FunctionDef) and not method.name.startswith("_"):
+                    params = method.args.posonlyargs + method.args.args + method.args.kwonlyargs
+                    found += [(p.lineno, f"{method.name}(now)") for p in params if p.arg == "now"]
+    # the names ``import time`` or ``import datetime as dt`` bind
+    modules = {
+        alias.asname or alias.name
+        for node in ast.walk(tree) if isinstance(node, ast.Import)
+        for alias in node.names if alias.name in _TIME_MODULES
+    }
+    for node in ast.walk(tree):
+        if id(node) in inside_clock:
+            continue
+        if isinstance(node, ast.Name) and node.id in modules:
+            found.append((node.lineno, node.id))
+        elif isinstance(node, ast.ImportFrom) and node.module in _TIME_MODULES:
+            found.append((node.lineno, f"from {node.module} import"))
+    return sorted(found)
+
+
+def test_the_clock_check_sees_what_it_forbids():
+    source = (
+        "import time\n"
+        "import datetime as dt\n"
+        "from time import monotonic\n"
+        "def wall_clock_ms():\n"
+        "    return int(time.time() * 1000)\n"
+        "class Gateway:\n"
+        "    def seal_bol(self, bol_id, now=None):\n"
+        "        return time.time_ns()\n"
+        "    def _apply(self, now):\n"
+        "        return dt.datetime.now()\n"
+    )
+    assert clock_bypasses(source) == [
+        (3, "from time import"), (7, "seal_bol(now)"), (8, "time"), (10, "dt"),
+    ]
+
+
+def test_gateway_time_comes_only_from_its_clock():
+    assert clock_bypasses((PACKAGE / "gateway.py").read_text(encoding="utf-8")) == []

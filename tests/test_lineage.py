@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from bomtrace import lineage
 from bomtrace.canonical import canonical_bytes
 from bomtrace.errors import NotInScope, UnknownBol, UnknownId
 from bomtrace.gateway import Gateway
@@ -9,6 +10,7 @@ from conftest import FIXED_NOW, build_hpc, build_two_stage_chain
 from graphutil import (
     global_graph,
     has_cycle,
+    induced_edges,
     oracle_trace,
     oracle_track,
     random_ecosystem,
@@ -103,8 +105,25 @@ def test_random_graphs_match_reachability_oracle(gw):
     reach = transitive_closure(nodes, edges)
     assert not has_cycle(reach)
     for node in nodes:
-        assert gw.trace(node).nodes == oracle_trace(reach, node)
-        assert gw.track(node).nodes == oracle_track(reach, node)
+        for graph, expected in ((gw.trace(node), oracle_trace(reach, node)),
+                                (gw.track(node), oracle_track(reach, node))):
+            assert graph.nodes == expected
+            assert graph.edges == induced_edges(edges, expected)
+
+
+def test_closure_of_cyclic_graphs_matches_reachability_oracle():
+    """A stored BoM cannot hold a cycle, so the walk meets one only here."""
+    rng = random.Random(9)
+    for _ in range(200):
+        nodes = [f"n{i}" for i in range(rng.randint(1, 10))]
+        edges = {(rng.choice(nodes), rng.choice(nodes)) for _ in range(rng.randint(0, 25))}
+        reach = transitive_closure(set(nodes), edges)
+        for node in nodes:
+            for backward, expected in ((True, oracle_trace(reach, node)),
+                                       (False, oracle_track(reach, node))):
+                graph = lineage.closure(edges, node, backward)
+                assert graph.nodes == expected
+                assert graph.edges == induced_edges(edges, expected)
 
 
 def test_duality_and_reflexivity(gw):
@@ -202,13 +221,14 @@ def test_observation_payload_mentioning_component_not_a_use(gw):
 def test_find_uses_dynamic_matches_bol_shadow_items(gw):
     rng = random.Random(2024)
     eco = random_ecosystem(gw, rng, max_components=30, max_assemblies=10, max_boms=4)
+    bols = []
     for bom_id in eco["boms"]:
         for _ in range(rng.randint(0, 2)):
             bol = gw.instantiate_bol(bom_id)
+            bols.append(bol)
             cid = rng.choice(sorted(bol.shadow_items))
             # payloads that name other components are not uses of them
             gw.record_observation(bol.id, cid, " ".join(rng.sample(eco["components"], 3)))
-    bols = gw._all_bols()
     for cid in eco["components"]:
         expected = sorted(bol.id for bol in bols if cid in bol.shadow_items)
         assert list(gw.find_uses(cid).dynamic) == expected, cid

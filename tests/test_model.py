@@ -347,8 +347,11 @@ def test_cycle_verdict_matches_oracle_on_arbitrary_candidates(tmp_path):
                 edges |= {(assembly.id, c) for c in outputs}
             nodes = {n for e in edges for n in e}
             oracle_cyclic = has_cycle(transitive_closure(nodes, edges))
-            report = gateway.validate_bom(assembly_ids=assembly_ids)
-            reported = {v.code for v in report.violations}
+            try:
+                gateway.create_bom("candidate", None, assembly_ids)
+                reported = set()
+            except ValidationFailed as exc:
+                reported = {v["code"] for v in exc.detail["report"]["violations"]}
             assert ("cycle" in reported) == oracle_cyclic, case
             saw_cyclic += oracle_cyclic
             saw_clean += not oracle_cyclic

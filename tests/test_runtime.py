@@ -26,7 +26,7 @@ from bomtrace.ledger import (
 )
 from bomtrace.runtime import BolStatus, bol_header_bytes, bol_leaves, observation_record_bytes
 from bomtrace.store import LOG_NAME
-from conftest import FIXED_NOW, build_hpc, build_two_stage_chain
+from conftest import FIXED_NOW, Clock, build_hpc, build_two_stage_chain
 from graphutil import random_ecosystem
 
 
@@ -60,7 +60,7 @@ def test_first_instantiation_freezes_bom(gw):
     assert gw.get_bom(parts["bom"]).frozen is True
 
 
-def test_only_the_first_instantiation_validates(gw, monkeypatch):
+def test_only_the_first_instantiation_validates(gw, clock, monkeypatch):
     parts = build_hpc(gw)
     calls = []
     validate = gateway_module.model.validate_structure
@@ -70,9 +70,10 @@ def test_only_the_first_instantiation_validates(gw, monkeypatch):
         return validate(*args, **kwargs)
 
     monkeypatch.setattr(gateway_module.model, "validate_structure", counting)
-    first = gw.instantiate_bol(parts["bom"], now=5)
+    clock.now = 5
+    first = gw.instantiate_bol(parts["bom"])
     assert len(calls) == 1
-    second = gw.instantiate_bol(parts["bom"], now=5)
+    second = gw.instantiate_bol(parts["bom"])
     # the BoM froze at the first; nothing stored since can have made it invalid
     assert len(calls) == 1
     assert second.id != first.id
@@ -148,21 +149,25 @@ def test_observation_round_trip_via_report(gw):
     assert payloads == ["congestion_score=7"]
 
 
-def test_observations_append_in_order(gw):
+def test_observations_append_in_order(gw, clock):
     parts = build_hpc(gw)
     bol = gw.instantiate_bol(parts["bom"])
-    gw.record_observation(bol.id, parts["result"], "first", now=1)
-    gw.record_observation(bol.id, parts["result"], "second", now=2)
+    clock.now = 1
+    gw.record_observation(bol.id, parts["result"], "first")
+    clock.now = 2
+    gw.record_observation(bol.id, parts["result"], "second")
     observations = gw.get_bol(bol.id).shadow_items[parts["result"]].observations
     assert [o.payload for o in observations] == ["first", "second"]
     assert [o.recorded_at for o in observations] == [1, 2]
 
 
-def test_recorded_at_never_decreases(gw):
+def test_recorded_at_never_decreases(gw, clock):
     parts = build_hpc(gw)
     bol = gw.instantiate_bol(parts["bom"])
-    gw.record_observation(bol.id, parts["result"], "a", now=100)
-    gw.record_observation(bol.id, parts["result"], "b", now=40)  # clock skew
+    clock.now = 100
+    gw.record_observation(bol.id, parts["result"], "a")
+    clock.now = 40  # clock skew
+    gw.record_observation(bol.id, parts["result"], "b")
     times = [
         o.recorded_at for o in gw.get_bol(bol.id).shadow_items[parts["result"]].observations
     ]
@@ -194,12 +199,14 @@ def test_observation_payload_byte_exact(gw):
     assert stored.payload == payload
 
 
-def test_each_observation_has_exactly_one_matching_ledger_entry(gw):
+def test_each_observation_has_exactly_one_matching_ledger_entry(gw, clock):
     parts = build_hpc(gw)
     bol = gw.instantiate_bol(parts["bom"])
     for i in range(4):
-        gw.record_observation(bol.id, parts["result"], f"v{i}", now=i)
-    gw.record_observation(bol.id, parts["scene"], "photo-ref", now=9)
+        clock.now = i
+        gw.record_observation(bol.id, parts["result"], f"v{i}")
+    clock.now = 9
+    gw.record_observation(bol.id, parts["scene"], "photo-ref")
     stored = gw.get_bol(bol.id)
     entries = [e for e in gw.ledger.entries() if e.entry_type == OBSERVATION_RECORDED]
     for cid, item in stored.shadow_items.items():
@@ -244,11 +251,12 @@ def test_sealing_twice_rejected(gw):
         gw.seal_bol(bol.id)
 
 
-def test_anchor_verifies_every_observation_leaf(gw):
+def test_anchor_verifies_every_observation_leaf(gw, clock):
     parts = build_hpc(gw)
     bol = gw.instantiate_bol(parts["bom"])
     for i in range(3):
-        gw.record_observation(bol.id, parts["result"], f"score={i}", now=i)
+        clock.now = i
+        gw.record_observation(bol.id, parts["result"], f"score={i}")
     anchor = gw.seal_bol(bol.id)
     sealed = gw.get_bol(bol.id)
     leaves = bol_leaves(sealed)
@@ -286,10 +294,11 @@ def _count_leaf_builds(monkeypatch) -> list:
     return calls
 
 
-def _record_mixed(gw, parts, bol_id, count):
+def _record_mixed(gw, clock, parts, bol_id, count):
     for i in range(count):
         cid = (parts["scene"], parts["model"], parts["result"])[i % 3]
-        gw.record_observation(bol_id, cid, f"reading {i}", now=i)
+        clock.now = i
+        gw.record_observation(bol_id, cid, f"reading {i}")
 
 
 def _check_digests(run, replayed: bool) -> None:
@@ -303,19 +312,20 @@ def _check_digests(run, replayed: bool) -> None:
                 assert digest == leaf_digest(leaf)
 
 
-def test_held_leaf_digests_are_those_of_the_leaves(tmp_path):
-    gw = Gateway(tmp_path, deterministic_ids=True, clock=lambda: FIXED_NOW)
+def test_held_leaf_digests_are_those_of_the_leaves(tmp_path, clock):
+    gw = Gateway(tmp_path, deterministic_ids=True, clock=clock)
     parts = build_hpc(gw)
     bol = gw.instantiate_bol(parts["bom"])
-    _record_mixed(gw, parts, bol.id, 7)
-    gw.record_observation(bol.id, parts["scene"], "e\u0301", note="n\u0303", now=8)
+    _record_mixed(gw, clock, parts, bol.id, 7)
+    clock.now = 8
+    gw.record_observation(bol.id, parts["scene"], "e\u0301", note="n\u0303")
     _check_digests(gw._runs[bol.id], replayed=False)
     gw.close()
-    gw = Gateway(tmp_path, deterministic_ids=True, clock=lambda: FIXED_NOW)
+    gw = Gateway(tmp_path, deterministic_ids=True, clock=clock)
     try:
         run = gw._runs[bol.id]
         assert all(leaf is None for leaves in run.leaves.values() for leaf in leaves)
-        _record_mixed(gw, parts, bol.id, 4)
+        _record_mixed(gw, clock, parts, bol.id, 4)
         _check_digests(run, replayed=True)
         anchor = gw.seal_bol(bol.id)
         # the seal encoded and hashed the replayed leaves, and kept them
@@ -328,10 +338,10 @@ def test_held_leaf_digests_are_those_of_the_leaves(tmp_path):
         gw.close()
 
 
-def test_proofs_after_a_seal_build_no_leaves(gw, monkeypatch):
+def test_proofs_after_a_seal_build_no_leaves(gw, clock, monkeypatch):
     parts = build_hpc(gw)
     bol = gw.instantiate_bol(parts["bom"])
-    _record_mixed(gw, parts, bol.id, 20)
+    _record_mixed(gw, clock, parts, bol.id, 20)
     anchor = gw.seal_bol(bol.id)
     calls = _count_leaf_builds(monkeypatch)
     for i in range(anchor.leaf_count):
@@ -340,11 +350,11 @@ def test_proofs_after_a_seal_build_no_leaves(gw, monkeypatch):
     assert calls == []
 
 
-def test_proofs_after_a_reopen_are_the_same_bytes(tmp_path, monkeypatch):
-    gw = Gateway(tmp_path, deterministic_ids=True, clock=lambda: FIXED_NOW)
+def test_proofs_after_a_reopen_are_the_same_bytes(tmp_path, clock, monkeypatch):
+    gw = Gateway(tmp_path, deterministic_ids=True, clock=clock)
     parts = build_hpc(gw)
     bol = gw.instantiate_bol(parts["bom"])
-    _record_mixed(gw, parts, bol.id, 20)
+    _record_mixed(gw, clock, parts, bol.id, 20)
     leaf_count = gw.seal_bol(bol.id).leaf_count
     before = [dispatch(gw, "GET", f"/bols/{bol.id}/proofs/{i}") for i in range(leaf_count)]
     gw.close()
@@ -362,10 +372,10 @@ def test_proofs_after_a_reopen_are_the_same_bytes(tmp_path, monkeypatch):
     assert calls == [bol.id]
 
 
-def test_a_failed_seal_leaves_no_stale_tree(gw, monkeypatch):
+def test_a_failed_seal_leaves_no_stale_tree(gw, clock, monkeypatch):
     parts = build_hpc(gw)
     bol = gw.instantiate_bol(parts["bom"])
-    _record_mixed(gw, parts, bol.id, 5)
+    _record_mixed(gw, clock, parts, bol.id, 5)
 
     def failing(writes):
         raise StorageFailure("injected")
@@ -385,13 +395,17 @@ def test_a_failed_seal_leaves_no_stale_tree(gw, monkeypatch):
         assert verify_inclusion(leaf, proof, anchor.merkle_root)
 
 
-def test_a_seal_hashes_the_committed_payloads(gw, monkeypatch):
+def test_a_seal_hashes_the_committed_payloads(gw, clock, monkeypatch):
     parts = build_hpc(gw)
     bol = gw.instantiate_bol(parts["bom"])
-    gw.record_observation(bol.id, parts["scene"], "e\u0301", now=1)  # not NFC
-    gw.record_observation(bol.id, parts["model"], "plain", note=None, now=2)
-    gw.record_observation(bol.id, parts["model"], "noted", note="n\u0303ote", now=3)
-    gw.record_observation(bol.id, parts["result"], "final", note="", now=4)
+    clock.now = 1
+    gw.record_observation(bol.id, parts["scene"], "e\u0301")  # not NFC
+    clock.now = 2
+    gw.record_observation(bol.id, parts["model"], "plain", note=None)
+    clock.now = 3
+    gw.record_observation(bol.id, parts["model"], "noted", note="n\u0303ote")
+    clock.now = 4
+    gw.record_observation(bol.id, parts["result"], "final", note="")
     encodes = []
     encode = runtime.observation_record_bytes
 
@@ -410,17 +424,19 @@ def test_a_seal_hashes_the_committed_payloads(gw, monkeypatch):
         assert verify_inclusion(leaf, proof, anchor.merkle_root)
 
 
-def test_a_run_reopened_open_seals_replayed_and_new_leaves_alike(tmp_path):
-    gw = Gateway(tmp_path, deterministic_ids=True, clock=lambda: FIXED_NOW)
+def test_a_run_reopened_open_seals_replayed_and_new_leaves_alike(tmp_path, clock):
+    gw = Gateway(tmp_path, deterministic_ids=True, clock=clock)
     parts = build_hpc(gw)
     bol = gw.instantiate_bol(parts["bom"])
-    _record_mixed(gw, parts, bol.id, 7)
-    gw.record_observation(bol.id, parts["scene"], "e\u0301", note="n\u0303", now=8)
+    _record_mixed(gw, clock, parts, bol.id, 7)
+    clock.now = 8
+    gw.record_observation(bol.id, parts["scene"], "e\u0301", note="n\u0303")
     gw.close()
-    gw = Gateway(tmp_path, deterministic_ids=True, clock=lambda: FIXED_NOW)
+    gw = Gateway(tmp_path, deterministic_ids=True, clock=clock)
     try:
-        _record_mixed(gw, parts, bol.id, 5)
-        gw.record_observation(bol.id, parts["result"], "e\u0301", now=9)
+        _record_mixed(gw, clock, parts, bol.id, 5)
+        clock.now = 9
+        gw.record_observation(bol.id, parts["result"], "e\u0301")
         anchor = gw.seal_bol(bol.id)
         leaves = bol_leaves(gw.get_bol(bol.id))
         assert anchor.leaf_count == len(leaves) == 15
@@ -462,12 +478,16 @@ def test_sealed_bol_bytes_unchanged_by_rejected_mutations(gw, tmp_path):
 
 def test_anchor_deterministic_across_store_instances(tmp_path):
     def run(path):
-        gateway = Gateway(path, deterministic_ids=True, clock=lambda: 1000)
+        clock = Clock(1000)
+        gateway = Gateway(path, deterministic_ids=True, clock=clock)
         parts = build_hpc(gateway)
-        bol = gateway.instantiate_bol(parts["bom"], now=500)
+        clock.now = 500
+        bol = gateway.instantiate_bol(parts["bom"])
         for i in range(3):
-            gateway.record_observation(bol.id, parts["result"], f"s={i}", now=600 + i)
-        anchor = gateway.seal_bol(bol.id, now=700)
+            clock.now = 600 + i
+            gateway.record_observation(bol.id, parts["result"], f"s={i}")
+        clock.now = 700
+        anchor = gateway.seal_bol(bol.id)
         gateway.close()
         return anchor
 
@@ -477,45 +497,50 @@ def test_anchor_deterministic_across_store_instances(tmp_path):
     assert a.leaf_count == b.leaf_count
 
 
-def test_concurrent_observations_serialize_cleanly(gw):
+def test_concurrent_observations_serialize_cleanly(tmp_path):
     import threading
 
-    parts = build_hpc(gw)
-    bol = gw.instantiate_bol(parts["bom"])
-    errors = []
+    # each writer thread sets the time its own observations read
+    local = threading.local()
+    gw = Gateway(tmp_path, deterministic_ids=True,
+                 clock=lambda: getattr(local, "now", FIXED_NOW))
+    try:
+        parts = build_hpc(gw)
+        bol = gw.instantiate_bol(parts["bom"])
+        errors = []
 
-    def writer(worker: int):
-        try:
-            for i in range(20):
-                gw.record_observation(
-                    bol.id, parts["result"], f"w{worker}:{i}", now=worker * 100 + i
-                )
-        except Exception as exc:  # pragma: no cover - failure reporting only
-            errors.append(exc)
+        def writer(worker: int):
+            try:
+                for i in range(20):
+                    local.now = worker * 100 + i
+                    gw.record_observation(bol.id, parts["result"], f"w{worker}:{i}")
+            except Exception as exc:  # pragma: no cover - failure reporting only
+                errors.append(exc)
 
-    threads = [threading.Thread(target=writer, args=(w,)) for w in range(4)]
-    for t in threads:
-        t.start()
-    for t in threads:
-        t.join()
-    assert errors == []
-    observations = gw.get_bol(bol.id).shadow_items[parts["result"]].observations
-    assert len(observations) == 80
-    payloads = [o.payload for o in observations]
-    assert len(set(payloads)) == 80  # nothing lost or duplicated
-    times = [o.recorded_at for o in observations]
-    assert times == sorted(times)  # non-decreasing within the shadow item
-    assert gw.verify_chain() == (True, None)
-    per_writer = {w: [p for p in payloads if p.startswith(f"w{w}:")] for w in range(4)}
-    for w, seq in per_writer.items():
-        assert seq == [f"w{w}:{i}" for i in range(20)]  # per-writer order kept
+        threads = [threading.Thread(target=writer, args=(w,)) for w in range(4)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join()
+        assert errors == []
+        observations = gw.get_bol(bol.id).shadow_items[parts["result"]].observations
+        assert len(observations) == 80
+        payloads = [o.payload for o in observations]
+        assert len(set(payloads)) == 80  # nothing lost or duplicated
+        times = [o.recorded_at for o in observations]
+        assert times == sorted(times)  # non-decreasing within the shadow item
+        assert gw.verify_chain() == (True, None)
+        per_writer = {w: [p for p in payloads if p.startswith(f"w{w}:")] for w in range(4)}
+        for w, seq in per_writer.items():
+            assert seq == [f"w{w}:{i}" for i in range(20)]  # per-writer order kept
+    finally:
+        gw.close()
 
 
 def test_bom_referenced_by_bol_is_always_frozen(gw):
     rng = random.Random(5)
     random_ecosystem(gw, rng, max_components=20, max_assemblies=6, max_boms=3)
     boms = gw._all_boms()
-    for bom in boms[: max(1, len(boms) // 2)]:
-        gw.instantiate_bol(bom.id)
-    for bol in gw._all_bols():
+    bols = [gw.instantiate_bol(bom.id) for bom in boms[: max(1, len(boms) // 2)]]
+    for bol in bols:
         assert gw.get_bom(bol.bom_id).frozen is True
