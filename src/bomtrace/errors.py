@@ -107,10 +107,6 @@ class RevisionConflict(BomTraceError):
     code = "REVISION_CONFLICT"
 
 
-class NotFound(BomTraceError):
-    code = "NOT_FOUND"
-
-
 class MalformedProof(BomTraceError):
     code = "MALFORMED_PROOF"
 

@@ -306,11 +306,11 @@ class Ledger:
             *extra_writes,
             WriteOp(_entry_key(entry.index), KIND_LEDGER_ENTRY, entry.record(), 0),
         ]
-        self._store.put_many(writes)
+        record = self._store.put_many(writes)[-1]
         if len(self._verified) == self._count and self._verified_head == self._last_hash:
             # chained from a verified head, with a payload encoded canonical
             # above: the record as written passes verify_chain
-            self._verified.append(self._store.get(_entry_key(entry.index)))
+            self._verified.append(record)
             self._verified_head = entry.entry_hash
         self._count = entry.index + 1
         self._last_hash = entry.entry_hash
@@ -333,8 +333,9 @@ class Ledger:
 
         Records this ledger verified before, or wrote on top of a verified
         chain, are not checked again while the store holds those very record
-        objects ahead of the rest. ``Store.put`` always makes a new record,
-        so any rewrite or inserted record sends the check back to genesis.
+        objects ahead of the rest. ``Store.put_many`` always makes a new
+        record, so any rewrite or inserted record sends the check back to
+        genesis.
         """
         records = self._store.scan(KIND_LEDGER_ENTRY)
         verified = self._verified

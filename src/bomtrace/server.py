@@ -98,7 +98,10 @@ class _Handler(socketserver.StreamRequestHandler):
             method, target, version = (word.decode("latin-1") for word in words)
             fields = read_fields(self.rfile)
             connection = _tokens(fields.get("connection", []))
-            close = "close" in connection or (version == "HTTP/1.0" and "keep-alive" not in connection)
+            # an HTTP/1.0 message with Transfer-Encoding is answered, then the
+            # connection closes, since its framing may be faulty (RFC 9112 §6.1)
+            close = "close" in connection or version == "HTTP/1.0" and (
+                "keep-alive" not in connection or "transfer-encoding" in fields)
             if version == "HTTP/1.1" and fields.get("expect", [""])[0].lower() == "100-continue":
                 self.wfile.write(b"HTTP/1.1 100 Continue\r\n\r\n")
             body = self._read_body(fields)

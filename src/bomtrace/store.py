@@ -9,16 +9,16 @@ next open — a write either fully commits or never happened. An append that
 fails part-way is cut back off the log at once; if even that fails, the store
 refuses further writes until it is reopened.
 
-A line has one of two layouts, told apart by whether it holds a TAB byte:
+Every line the store writes has the raw-record layout (v2): a JSON header
+``{"writes":[{"key","kind","revision"}, …]}``, then each write's record bytes
+as they are, each after one TAB, in the header's order. So a record may not
+hold a raw TAB or LF byte, and ``put_many`` refuses a transaction with such a
+record before it writes anything. Every record bomtrace writes is canonical
+JSON, which escapes both.
 
-* **Raw records (v2).** A JSON header ``{"writes":[{"key","kind","revision"},
-  …]}``, then each write's record bytes as they are, each after one TAB, in
-  the header's order. A transaction is written this way when none of its
-  records holds a TAB or LF byte.
-* **Inline records (v1).** One JSON object ``{"writes":[{"data_b64","key",
-  "kind","revision"}, …]}`` with each record base64-encoded. A transaction
-  with a record that holds a TAB or LF byte is written this way, and logs
-  from before v2 hold only such lines.
+Logs from before v2 hold inline-record lines (v1), which are still read: one
+JSON object ``{"writes":[{"data_b64","key","kind","revision"}, …]}`` with each
+record base64-encoded. A line that holds a TAB is raw, any other is inline.
 
 The JSON parts have sorted keys, no whitespace and only ASCII bytes, so they
 never hold a raw TAB or LF: a LF always ends a line, and in v2 the TABs
@@ -40,11 +40,12 @@ import os
 import threading
 from collections import defaultdict
 from dataclasses import dataclass
+from itertools import takewhile
 from pathlib import Path
 from typing import NamedTuple
 
 from .canonical import parse_json
-from .errors import NotFound, RevisionConflict, StorageFailure
+from .errors import RevisionConflict, StorageFailure
 
 logger = logging.getLogger(__name__)
 
@@ -75,14 +76,14 @@ class WriteOp:
     """One keyed write inside a transaction.
 
     ``expected_revision`` is optimistic concurrency: 0 means the key must not
-    exist yet, a positive value must equal the current revision, and None
-    skips the check.
+    exist yet, and a positive value must equal the current revision. ``data``
+    holds no raw TAB or LF byte, as the raw-record layout needs.
     """
 
     key: str
     kind: str
     data: bytes
-    expected_revision: int | None = None
+    expected_revision: int
 
 
 _encode = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
@@ -91,6 +92,14 @@ _encode = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
 def _json_bytes(value: dict) -> bytes:
     """Sorted keys, no whitespace, ASCII only: never a raw TAB or LF."""
     return _encode(value).encode("ascii")
+
+
+def _fsync_dir(path: Path) -> None:
+    fd = os.open(path, os.O_RDONLY)
+    try:
+        os.fsync(fd)
+    finally:
+        os.close(fd)
 
 
 class Store:
@@ -108,17 +117,19 @@ class Store:
         self._transactions = 0  # committed log lines
         self._broken: str | None = None  # why writes are refused, if they are
         try:
+            # the levels this store creates, each of whose entries is durable
+            # only once its parent is fsynced
+            missing = list(takewhile(lambda level: not level.exists(),
+                                     (self._dir, *self._dir.parents)))
             self._dir.mkdir(parents=True, exist_ok=True)
+            for level in reversed(missing):
+                _fsync_dir(level.parent)
             created = not self._path.exists()
             self._size = 0 if created else self._replay()
             self._fh = open(self._path, "ab", buffering=0)
             if created:
-                # the new directory entry must be durable before any append is
-                fd = os.open(self._dir, os.O_RDONLY)
-                try:
-                    os.fsync(fd)
-                finally:
-                    os.close(fd)
+                # the new log's entry must be durable before any append is
+                _fsync_dir(self._dir)
         except OSError as exc:
             raise StorageFailure(f"cannot open store at {self._dir}: {exc}") from exc
 
@@ -173,42 +184,39 @@ class Store:
 
     # -- writes --------------------------------------------------------
 
-    def put(
-        self, key: str, kind: str, data: bytes, expected_revision: int | None = None
-    ) -> int:
-        """Write one record durably; returns its new revision."""
-        return self.put_many([WriteOp(key, kind, data, expected_revision)])[0]
+    def put_many(self, writes: list[WriteOp]) -> list[StoredRecord]:
+        """Commit several writes atomically (one log line, one fsync).
 
-    def put_many(self, writes: list[WriteOp]) -> list[int]:
-        """Commit several writes atomically (one log line, one fsync)."""
+        Returns the records as stored, in the order of ``writes``. A record
+        that holds a raw TAB or LF byte raises ValueError, and a wrong
+        ``expected_revision`` RevisionConflict; either way nothing is written.
+        """
         with self._lock:
             if self._broken is not None:
                 raise StorageFailure(f"store refuses writes until reopened: {self._broken}")
-            revisions = []
-            staged = []
+            for op in writes:
+                if b"\t" in op.data or b"\n" in op.data:
+                    raise ValueError(f"key {op.key}: a record may not hold a raw TAB or LF byte")
+            stored = []
             seen: dict[str, int] = {}
             for op in writes:
                 current = seen.get(op.key)
                 if current is None:
                     existing = self._records.get(op.key)
                     current = existing.revision if existing else 0
-                if op.expected_revision is not None and op.expected_revision != current:
+                if op.expected_revision != current:
                     raise RevisionConflict(
                         f"key {op.key}: expected revision {op.expected_revision}, "
                         f"found {current}",
                         detail={"key": op.key, "revision": current},
                     )
-                revision = current + 1
-                seen[op.key] = revision
-                revisions.append(revision)
-                staged.append({"key": op.key, "kind": op.kind, "revision": revision})
-            records = [op.data for op in writes]
-            if any(b"\t" in data or b"\n" in data for data in records):
-                for write, data in zip(staged, records):
-                    write["data_b64"] = base64.b64encode(data).decode("ascii")
-                line = _json_bytes({"writes": staged}) + b"\n"
-            else:
-                line = b"\t".join([_json_bytes({"writes": staged}), *records]) + b"\n"
+                seen[op.key] = current + 1
+                stored.append(StoredRecord(op.key, op.kind, op.data, current + 1))
+            header = _json_bytes({"writes": [
+                {"key": record.key, "kind": record.kind, "revision": record.revision}
+                for record in stored
+            ]})
+            line = b"\t".join([header, *(op.data for op in writes)]) + b"\n"
             try:
                 view = memoryview(line)
                 while view:
@@ -219,19 +227,17 @@ class Store:
                 raise StorageFailure(f"append failed: {exc}") from exc
             self._size += len(line)
             self._transactions += 1
-            for op, revision in zip(writes, revisions):
-                old = self._records.get(op.key)
-                held = self._by_kind[op.kind]
-                if old is None or old.kind != op.kind:
+            for record in stored:
+                old = self._records.get(record.key)
+                held = self._by_kind[record.kind]
+                if old is None or old.kind != record.kind:
                     if old is not None:
-                        del self._by_kind[old.kind][op.key]  # it leaves its old kind's scans
+                        del self._by_kind[old.kind][record.key]  # it leaves its old kind's scans
                     # a key new to its kind goes last in its dict
-                    if held and op.key < next(reversed(held)):
-                        self._unordered.add(op.kind)
-                self._records[op.key] = held[op.key] = StoredRecord(
-                    op.key, op.kind, op.data, revision
-                )
-            return revisions
+                    if held and record.key < next(reversed(held)):
+                        self._unordered.add(record.kind)
+                self._records[record.key] = held[record.key] = record
+            return stored
 
     def _cut_back(self, cause: OSError) -> None:
         """Drop whatever part of a failed append reached the log."""
@@ -245,15 +251,9 @@ class Store:
     # -- reads ---------------------------------------------------------
 
     def get(self, key: str) -> StoredRecord:
+        """The current record of ``key``; raises KeyError if there is none."""
         with self._lock:
-            record = self._records.get(key)
-        if record is None:
-            raise NotFound(f"no record for key {key}", detail={"key": key})
-        return record
-
-    def exists(self, key: str) -> bool:
-        with self._lock:
-            return key in self._records
+            return self._records[key]
 
     def scan(self, kind: str) -> list[StoredRecord]:
         """The current records of ``kind``, in ascending key order.
@@ -269,11 +269,6 @@ class Store:
                 self._by_kind[kind] = held = dict(sorted(held.items()))
                 self._unordered.discard(kind)
             return list(held.values())
-
-    @property
-    def record_count(self) -> int:
-        with self._lock:
-            return len(self._records)
 
     @property
     def transaction_count(self) -> int:

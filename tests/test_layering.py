@@ -1,4 +1,5 @@
-"""Modules keep to each other's public names, and the gateway to its clock.
+"""Modules keep to each other's public names, the gateway to its clock, and
+the store to the calls the package makes.
 
 No module under ``src/bomtrace`` uses an ``_underscore`` attribute of
 anything but ``self`` or ``cls``: another object's private state, or another
@@ -8,6 +9,10 @@ language's, not a module's, and stay allowed.
 Every timestamp the gateway stores comes from its clock: no public
 ``Gateway`` method takes a ``now``, and ``gateway.py`` uses a time module only
 inside ``wall_clock_ms``, the default clock.
+
+The store has one way in: every public method or property of ``Store`` is
+read off a store by some other module of the package, so none is kept for
+tests alone.
 """
 
 import ast
@@ -97,3 +102,45 @@ def test_the_clock_check_sees_what_it_forbids():
 
 def test_gateway_time_comes_only_from_its_clock():
     assert clock_bypasses((PACKAGE / "gateway.py").read_text(encoding="utf-8")) == []
+
+
+def unused_store_members(store_source: str, other_sources: list[str]) -> list[str]:
+    """The public members of ``Store`` that no other source reads off a store.
+
+    A read off a store is ``x.name`` where ``x`` is named ``store`` or
+    ``_store``: ``store.scan``, ``self.store.get``, ``self._store.put_many``.
+    """
+    (store,) = [node for node in ast.parse(store_source).body
+                if isinstance(node, ast.ClassDef) and node.name == "Store"]
+    members = {node.name for node in store.body
+               if isinstance(node, ast.FunctionDef) and not node.name.startswith("_")}
+    for source in other_sources:
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, ast.Attribute):
+                base = node.value
+                name = base.id if isinstance(base, ast.Name) else getattr(base, "attr", None)
+                if name in ("store", "_store"):
+                    members.discard(node.attr)
+    return sorted(members)
+
+
+def test_the_store_check_sees_what_it_forbids():
+    store = (
+        "class Store:\n"
+        "    def put(self): ...\n"
+        "    def get(self): ...\n"
+        "    def scan(self): ...\n"
+        "    @property\n"
+        "    def record_count(self): ...\n"
+        "    def _cut_back(self): ...\n"
+        "    def __enter__(self): ...\n"
+    )
+    users = ["self.store.get(k)\nrecords.put(k)\nrecord_count = 1\n", "self._store.scan(k)\n"]
+    assert unused_store_members(store, users) == ["put", "record_count"]
+
+
+def test_every_public_store_member_has_a_caller_in_the_package():
+    others = [path.read_text(encoding="utf-8")
+              for path in sorted(PACKAGE.glob("*.py")) if path.name != "store.py"]
+    store = (PACKAGE / "store.py").read_text(encoding="utf-8")
+    assert unused_store_members(store, others) == []

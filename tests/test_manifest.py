@@ -160,11 +160,11 @@ WRONG_TYPED_MANIFESTS = [
 
 
 def test_wrong_typed_manifest_fields_rejected(gw):
-    before = gw.store.record_count
+    before = gw.store.transaction_count
     for manifest in WRONG_TYPED_MANIFESTS:
         with pytest.raises(MalformedBody):
             gw.define_bom(manifest)
-    assert gw.store.record_count == before
+    assert gw.store.transaction_count == before
 
 
 def test_null_lists_read_as_empty(gw):
@@ -199,7 +199,7 @@ def test_unknown_external_component_rejected(gw):
 
 
 def test_failed_manifest_leaves_store_untouched(gw):
-    before = gw.store.record_count
+    before = gw.store.transaction_count
     manifest = {
         "name": "Cyclic",
         "assemblies": [
@@ -209,7 +209,7 @@ def test_failed_manifest_leaves_store_untouched(gw):
     }
     with pytest.raises(ValidationFailed):
         gw.define_bom(manifest)
-    assert gw.store.record_count == before
+    assert gw.store.transaction_count == before
 
 
 def test_define_then_show_round_trips_manifest_fields(gw):

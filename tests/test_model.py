@@ -300,11 +300,11 @@ def test_validate_unknown_bom(gw):
 
 def test_validate_is_deterministic_and_pure(gw):
     parts = build_two_stage_chain(gw)
-    before = gw.store.record_count
+    before = gw.store.transaction_count
     first = gw.validate_bom(bom_id=parts["bom"])
     second = gw.validate_bom(bom_id=parts["bom"])
     assert first == second
-    assert gw.store.record_count == before
+    assert gw.store.transaction_count == before
 
 
 def test_random_dags_validate_clean_against_cycle_oracle(gw):

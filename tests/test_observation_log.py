@@ -17,9 +17,9 @@ from bomtrace.canonical import canonical_bytes
 from bomtrace.gateway import Gateway
 from bomtrace.ledger import BOL_CREATED, BOL_SEALED, OBSERVATION_RECORDED, verify_inclusion
 from bomtrace.runtime import Bol, Observation, bol_leaves
-from bomtrace.store import LOG_NAME, Store, WriteOp
+from bomtrace.store import LOG_NAME, Store
 from conftest import FIXED_NOW, build_hpc
-from logutil import line_writes
+from logutil import line_writes, overwrite
 
 
 def open_gateway(path):
@@ -73,7 +73,9 @@ def test_bol_is_stored_only_as_ledger_entries(gw, tmp_path):
     assert _last_writes(log) == [(f"le_{7:016d}", "ledger_entry")]
     assert gw.get_bol(bol.id).anchor.ledger_index == 7
     assert gw.store.scan("bol") == []
-    assert not gw.store.exists(bol.id) and not gw.store.exists(other.id)
+    for run in (bol, other):
+        with pytest.raises(KeyError):
+            gw.store.get(run.id)
     _, _, sealed = dispatch(gw, "GET", f"/bols/{bol.id}")
     assert sealed == canonical_bytes(gw.get_bol(bol.id).to_dict())
     _, _, still_open = dispatch(gw, "GET", f"/bols/{other.id}")
@@ -115,7 +117,7 @@ def test_tampered_observation_entry_still_opens(tmp_path, field, value):
         record = store.get(key)
         doc = json.loads(record.data)
         doc["payload"][field] = value
-        store.put(record.key, record.kind, canonical_bytes(doc))
+        overwrite(store, record.key, record.kind, canonical_bytes(doc))
     bad_index = int(key.split("_")[1])
 
     reopened = Gateway(tmp_path)
@@ -159,7 +161,7 @@ def test_tampered_bol_entry_still_opens(tmp_path, entry_type, field, value):
         ]
         doc = json.loads(record.data)
         doc["payload"][field] = value
-        store.put(record.key, record.kind, canonical_bytes(doc))
+        overwrite(store, record.key, record.kind, canonical_bytes(doc))
     bad_index = int(record.key.split("_")[1])
 
     reopened = Gateway(tmp_path)
@@ -184,7 +186,7 @@ def test_a_skipped_bol_entry_keeps_its_deterministic_id(tmp_path):
         record = store.get(f"le_{0:016d}")
         doc = json.loads(record.data)
         doc["payload"]["created_at"] = "x"
-        store.put_many([WriteOp(record.key, record.kind, canonical_bytes(doc), None)])
+        overwrite(store, record.key, record.kind, canonical_bytes(doc))
 
     reopened = open_gateway(tmp_path)
     try:
@@ -273,7 +275,7 @@ def test_undecodable_last_entry_refuses_appends(tmp_path):
     count = gw.ledger.count
     gw.close()
     with Store(tmp_path) as store:
-        store.put(f"le_{count - 1:016d}", "ledger_entry", b"\xff not an entry")
+        overwrite(store, f"le_{count - 1:016d}", "ledger_entry", b"\xff not an entry")
 
     reopened = open_gateway(tmp_path)
     try:
@@ -299,7 +301,7 @@ def test_entry_nested_past_the_parser_limit_still_opens(tmp_path, position):
     bad_index = 1 if position == "middle" else gw.ledger.count - 1
     gw.close()
     with Store(tmp_path) as store:
-        store.put(f"le_{bad_index:016d}", "ledger_entry", b"[" * 100_000 + b"]" * 100_000)
+        overwrite(store, f"le_{bad_index:016d}", "ledger_entry", b"[" * 100_000 + b"]" * 100_000)
 
     reopened = open_gateway(tmp_path)
     try:

@@ -209,9 +209,13 @@ def test_response_head_is_pinned(server):
     (b"GET /healthz HTTP/1.1\r\nConnection: TE\r\nConnection: close\r\n\r\n", True),
     (b"GET /healthz HTTP/1.0\r\nConnection: Keep-Alive, foo\r\n\r\n", False),
     (b"GET /healthz HTTP/1.0\r\nConnection: foo\r\nConnection: keep-alive\r\n\r\n", False),
+    # an HTTP/1.0 message with Transfer-Encoding closes after its answer,
+    # whatever Connection says (RFC 9112 §6.1)
+    (b"GET /healthz HTTP/1.0\r\nConnection: keep-alive\r\nTransfer-Encoding: chunked\r\n"
+     b"\r\n0\r\n\r\n", True),
 ], ids=["1.0", "1.0-keep-alive", "1.1-close", "1.1", "1.1-list-close-last",
         "1.1-list-close-first", "1.1-two-lines-close", "1.0-list-keep-alive",
-        "1.0-two-lines-keep-alive"])
+        "1.0-two-lines-keep-alive", "1.0-keep-alive-transfer-encoding"])
 def test_connection_closes_by_version_and_header(server, request_head, closes):
     with socket.create_connection(server.server_address, timeout=5) as sock, \
             sock.makefile("rb") as rfile:

@@ -10,16 +10,26 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bomtrace.canonical import canonical_bytes
-from bomtrace.errors import NotFound, RevisionConflict, StorageFailure
+from bomtrace.errors import RevisionConflict, StorageFailure
 from bomtrace.store import LOG_NAME, Store, StoredRecord, WriteOp
-from logutil import line_writes
+from logutil import Write, inline_line, line_writes
+
+
+def _put(store, key, kind, data, expected_revision=0):
+    """Commit one write; returns its new revision."""
+    return store.put_many([WriteOp(key, kind, data, expected_revision)])[0].revision
+
+
+def _keys(store, kind="component"):
+    return [record.key for record in store.scan(kind)]
 
 
 def test_put_get_round_trip(tmp_path):
     with Store(tmp_path) as store:
-        revision = store.put("bom_" + "1" * 32, "bom", b'{"name":"x"}')
-        assert revision == 1
+        (stored,) = store.put_many([WriteOp("bom_" + "1" * 32, "bom", b'{"name":"x"}', 0)])
+        assert stored == StoredRecord("bom_" + "1" * 32, "bom", b'{"name":"x"}', 1)
         record = store.get("bom_" + "1" * 32)
+        assert record is stored
         assert record.data == b'{"name":"x"}'
         assert record.kind == "bom"
         assert record.revision == 1
@@ -28,27 +38,27 @@ def test_put_get_round_trip(tmp_path):
 def test_revision_increments_and_conflicts(tmp_path):
     with Store(tmp_path) as store:
         key = "bom_" + "2" * 32
-        assert store.put(key, "bom", b"{}") == 1
-        assert store.put(key, "bom", b'{"a":1}', expected_revision=1) == 2
+        assert _put(store, key, "bom", b"{}") == 1
+        assert _put(store, key, "bom", b'{"a":1}', expected_revision=1) == 2
         with pytest.raises(RevisionConflict):
-            store.put(key, "bom", b"{}", expected_revision=1)
+            _put(store, key, "bom", b"{}", expected_revision=1)
         with pytest.raises(RevisionConflict):
-            store.put(key, "bom", b"{}", expected_revision=0)
+            _put(store, key, "bom", b"{}", expected_revision=0)
 
 
 def test_get_unknown_key(tmp_path):
     with Store(tmp_path) as store:
-        with pytest.raises(NotFound):
+        with pytest.raises(KeyError):
             store.get("bom_" + "9" * 32)
 
 
 def test_reopen_preserves_records(tmp_path):
     with Store(tmp_path) as store:
-        store.put("ds_" + "a" * 32, "component", b'{"name":"alpha"}')
-        store.put("ds_" + "b" * 32, "component", b'{"name":"beta"}')
+        _put(store, "ds_" + "a" * 32, "component", b'{"name":"alpha"}')
+        _put(store, "ds_" + "b" * 32, "component", b'{"name":"beta"}')
     with Store(tmp_path) as store:
         assert store.get("ds_" + "a" * 32).data == b'{"name":"alpha"}'
-        assert store.record_count == 2
+        assert _keys(store) == ["ds_" + "a" * 32, "ds_" + "b" * 32]
 
 
 def test_put_many_is_one_transaction(tmp_path):
@@ -66,7 +76,7 @@ def test_put_many_is_one_transaction(tmp_path):
 def test_transaction_count_survives_reopen(tmp_path):
     with Store(tmp_path) as store:
         assert store.transaction_count == 0
-        store.put("ds_" + "a" * 32, "component", b"{}")
+        _put(store, "ds_" + "a" * 32, "component", b"{}")
         store.put_many(
             [
                 WriteOp("ds_" + "b" * 32, "component", b"{}", 0),
@@ -74,7 +84,7 @@ def test_transaction_count_survives_reopen(tmp_path):
             ]
         )
         with pytest.raises(RevisionConflict):
-            store.put("ds_" + "a" * 32, "component", b"{}", 0)
+            _put(store, "ds_" + "a" * 32, "component", b"{}", 0)
         assert store.transaction_count == 2
     with Store(tmp_path) as store:
         assert store.transaction_count == 2
@@ -82,7 +92,7 @@ def test_transaction_count_survives_reopen(tmp_path):
 
 def test_put_many_conflict_rolls_back_everything(tmp_path):
     with Store(tmp_path) as store:
-        store.put("ds_" + "e" * 32, "component", b"{}")
+        _put(store, "ds_" + "e" * 32, "component", b"{}")
         with pytest.raises(RevisionConflict):
             store.put_many(
                 [
@@ -90,26 +100,51 @@ def test_put_many_conflict_rolls_back_everything(tmp_path):
                     WriteOp("ds_" + "e" * 32, "component", b"{}", 0),
                 ]
             )
-        assert not store.exists("ds_" + "f" * 32)
+        assert _keys(store) == ["ds_" + "e" * 32]
+        with pytest.raises(KeyError):
+            store.get("ds_" + "f" * 32)
+        assert store.transaction_count == 1
+
+
+def test_refused_record_changes_nothing(tmp_path):
+    """A record with a raw TAB or LF has no raw-layout line, so the store refuses it."""
+    log = tmp_path / LOG_NAME
+    with Store(tmp_path) as store:
+        _put(store, "ds_" + "a" * 32, "component", b'{"name":"kept"}')
+        before = (log.read_bytes(), store.transaction_count, store.scan("component"))
+        for data in (b"\t", b"\n", b'{\n "name": "pretty"\n}', b"a\tb", b"\xff\n\x00"):
+            with pytest.raises(ValueError, match="TAB or LF"):
+                store.put_many([
+                    WriteOp("ds_" + "b" * 32, "component", b"{}", 0),
+                    WriteOp("ds_" + "c" * 32, "component", data, 0),
+                ])
+            assert (log.read_bytes(), store.transaction_count, store.scan("component")) == before
+            with pytest.raises(KeyError):
+                store.get("ds_" + "b" * 32)
+        assert _put(store, "ds_" + "b" * 32, "component", b"{}") == 1
+        assert store.transaction_count == 2
+    with Store(tmp_path) as store:
+        assert _keys(store) == ["ds_" + "a" * 32, "ds_" + "b" * 32]
+        assert store.transaction_count == 2
 
 
 def test_torn_tail_discarded(tmp_path):
     with Store(tmp_path) as store:
-        store.put("ds_" + "a" * 32, "component", b'{"name":"kept"}')
+        _put(store, "ds_" + "a" * 32, "component", b'{"name":"kept"}')
     with open(tmp_path / LOG_NAME, "ab") as fh:
         fh.write(b'{"writes":[{"key":"half')  # no newline: torn mid-append
     with Store(tmp_path) as store:
-        assert store.record_count == 1
-        store.put("ds_" + "b" * 32, "component", b"{}")
+        assert _keys(store) == ["ds_" + "a" * 32]
+        _put(store, "ds_" + "b" * 32, "component", b"{}")
     with Store(tmp_path) as store:
-        assert store.record_count == 2
+        assert _keys(store) == ["ds_" + "a" * 32, "ds_" + "b" * 32]
 
 
 def test_scan_orders_by_key_and_filters(tmp_path):
     with Store(tmp_path) as store:
-        store.put("bom_" + "2" * 32, "bom", canonical_bytes({"name": "HPC Congestion"}))
-        store.put("bom_" + "1" * 32, "bom", canonical_bytes({"name": "Other"}))
-        store.put("ds_" + "1" * 32, "component", canonical_bytes({"name": "HPC thing"}))
+        _put(store, "bom_" + "2" * 32, "bom", canonical_bytes({"name": "HPC Congestion"}))
+        _put(store, "bom_" + "1" * 32, "bom", canonical_bytes({"name": "Other"}))
+        _put(store, "ds_" + "1" * 32, "component", canonical_bytes({"name": "HPC thing"}))
         keys = [r.key for r in store.scan("bom")]
         assert keys == ["bom_" + "1" * 32, "bom_" + "2" * 32]
         assert store.scan("bol") == []
@@ -173,17 +208,19 @@ class _HalfWrite:
 
 def test_failed_append_is_cut_back_before_the_next_write(tmp_path):
     with Store(tmp_path) as store:
-        store.put("ds_" + "a" * 32, "component", b'{"name":"kept"}')
+        _put(store, "ds_" + "a" * 32, "component", b'{"name":"kept"}')
         store._fh = _HalfWrite(store._fh)
         with pytest.raises(StorageFailure):
-            store.put("ds_" + "b" * 32, "component", b'{"name":"lost"}')
+            _put(store, "ds_" + "b" * 32, "component", b'{"name":"lost"}')
         assert store._fh.failed
-        assert not store.exists("ds_" + "b" * 32)
-        store.put("ds_" + "c" * 32, "component", b'{"name":"after"}')
+        with pytest.raises(KeyError):
+            store.get("ds_" + "b" * 32)
+        _put(store, "ds_" + "c" * 32, "component", b'{"name":"after"}')
     with Store(tmp_path) as store:
-        assert store.record_count == 2
+        assert _keys(store) == ["ds_" + "a" * 32, "ds_" + "c" * 32]
         assert store.get("ds_" + "c" * 32).data == b'{"name":"after"}'
-        assert not store.exists("ds_" + "b" * 32)
+        with pytest.raises(KeyError):
+            store.get("ds_" + "b" * 32)
 
 
 def test_failed_cut_back_refuses_writes_until_reopen(tmp_path, monkeypatch):
@@ -191,19 +228,19 @@ def test_failed_cut_back_refuses_writes_until_reopen(tmp_path, monkeypatch):
         raise OSError(errno.EIO, "Input/output error")
 
     with Store(tmp_path) as store:
-        store.put("ds_" + "a" * 32, "component", b'{"name":"kept"}')
+        _put(store, "ds_" + "a" * 32, "component", b'{"name":"kept"}')
         store._fh = _HalfWrite(store._fh)
         monkeypatch.setattr(os, "ftruncate", no_truncate)
         with pytest.raises(StorageFailure):
-            store.put("ds_" + "b" * 32, "component", b"{}")
+            _put(store, "ds_" + "b" * 32, "component", b"{}")
         monkeypatch.undo()
         with pytest.raises(StorageFailure, match="reopened"):
-            store.put("ds_" + "c" * 32, "component", b"{}")
+            _put(store, "ds_" + "c" * 32, "component", b"{}")
     with Store(tmp_path) as store:  # the half line is a torn tail, dropped on open
-        assert store.record_count == 1
-        store.put("ds_" + "c" * 32, "component", b"{}")
+        assert _keys(store) == ["ds_" + "a" * 32]
+        _put(store, "ds_" + "c" * 32, "component", b"{}")
     with Store(tmp_path) as store:
-        assert store.record_count == 2
+        assert _keys(store) == ["ds_" + "a" * 32, "ds_" + "c" * 32]
 
 
 def test_new_log_fsyncs_its_directory(tmp_path, monkeypatch):
@@ -211,35 +248,58 @@ def test_new_log_fsyncs_its_directory(tmp_path, monkeypatch):
     real_fsync = os.fsync
 
     def spy(fd):
-        synced.append(stat.S_ISDIR(os.fstat(fd).st_mode))
+        info = os.fstat(fd)
+        synced.append((info.st_dev, info.st_ino) if stat.S_ISDIR(info.st_mode) else "file")
         real_fsync(fd)
+
+    def directories(*paths):
+        return [(os.stat(path).st_dev, os.stat(path).st_ino) for path in paths]
 
     monkeypatch.setattr(os, "fsync", spy)
     Store(tmp_path / "data").close()
-    assert synced == [True]
+    # the new directory's entry in its parent, then the new log's entry in it
+    assert synced == directories(tmp_path, tmp_path / "data")
+    synced.clear()
     Store(tmp_path / "data").close()  # reopening creates no directory entry
-    assert synced == [True]
+    assert synced == []
+    # two missing levels: the parent of each, top down, then the log's directory
+    Store(tmp_path / "a" / "b").close()
+    assert synced == directories(tmp_path, tmp_path / "a", tmp_path / "a" / "b")
+    synced.clear()
+    (tmp_path / "made").mkdir()
+    Store(tmp_path / "made").close()  # a directory that exists costs only the log's fsync
+    assert synced == directories(tmp_path / "made")
+
+
+def _refused(data: bytes) -> bool:
+    """A record the store refuses: a raw TAB or LF has no raw-layout line."""
+    return b"\t" in data or b"\n" in data
 
 
 @settings(max_examples=25, deadline=None)
 @given(st.binary(max_size=200))
 def test_arbitrary_bytes_round_trip(tmp_path_factory, payload):
     path = tmp_path_factory.mktemp("store")
+    held = [] if _refused(payload) else [payload]
     with Store(path) as store:
-        store.put("ds_" + "0" * 32, "component", payload)
-        assert store.get("ds_" + "0" * 32).data == payload
+        if held:
+            _put(store, "ds_" + "0" * 32, "component", payload)
+        else:
+            with pytest.raises(ValueError):
+                _put(store, "ds_" + "0" * 32, "component", payload)
+        assert [record.data for record in store.scan("component")] == held
     with Store(path) as store:
-        assert store.get("ds_" + "0" * 32).data == payload
+        assert [record.data for record in store.scan("component")] == held
 
 
 _KEYS = st.sampled_from(["k", "e\u0301", "\u00e9"]) | st.text(max_size=6)
 _RECORDS = st.sampled_from([b"", b"\t", b"\n", b'{\n "a": 1\n}', b"\xff\xfe\t\x00"]) | st.binary(
     max_size=40
 )
-# per write: key, kind, record, and whether expected_revision is None, the
-# current revision, or a wrong one
+# per write: key, kind, record, and whether expected_revision is the current
+# revision or a wrong one
 _BATCHES = st.lists(
-    st.lists(st.tuples(_KEYS, _KEYS, _RECORDS, st.sampled_from(["none", "right", "wrong"])),
+    st.lists(st.tuples(_KEYS, _KEYS, _RECORDS, st.sampled_from(["right", "wrong"])),
              max_size=4),
     max_size=6,
 )
@@ -250,6 +310,7 @@ _BATCHES = st.lists(
 def test_put_many_batches_read_back_after_reopen(tmp_path_factory, batches):
     path = tmp_path_factory.mktemp("batches")
     model: dict[str, tuple[str, bytes, int]] = {}  # key -> (kind, record, revision)
+    kinds = {kind for batch in batches for _, kind, _, _ in batch}  # written or refused
     transactions = 0
 
     def check(store):
@@ -257,31 +318,33 @@ def test_put_many_batches_read_back_after_reopen(tmp_path_factory, batches):
             key: StoredRecord(key, kind, data, revision)
             for key, (kind, data, revision) in model.items()
         }
-        for kind in {kind for kind, _, _ in model.values()}:
+        for kind in kinds:
             assert [r.key for r in store.scan(kind)] == sorted(
                 key for key, (held, _, _) in model.items() if held == kind
             )
-        assert (store.record_count, store.transaction_count) == (len(model), transactions)
+        assert store.transaction_count == transactions
 
     with Store(path) as store:
         for batch in batches:
-            ops, revisions, conflict, staged = [], [], False, {}
+            ops, stored, conflict, staged = [], [], False, {}
             for key, kind, data, expected in batch:
                 current = staged.get(key, model.get(key, (None, None, 0))[2])
-                ops.append(WriteOp(key, kind, data, {
-                    "none": None, "right": current, "wrong": current + 1,
-                }[expected]))
+                ops.append(WriteOp(key, kind, data, current + (expected == "wrong")))
                 conflict |= expected == "wrong"
                 staged[key] = current + 1
-                revisions.append(current + 1)
+                stored.append(StoredRecord(key, kind, data, current + 1))
+            if any(_refused(op.data) for op in ops):
+                with pytest.raises(ValueError):  # before any revision is checked
+                    store.put_many(ops)
+                continue
             if conflict:
                 with pytest.raises(RevisionConflict):
                     store.put_many(ops)
                 continue
-            assert store.put_many(ops) == revisions
+            assert store.put_many(ops) == stored
             transactions += 1
-            for op, revision in zip(ops, revisions):
-                model[op.key] = (op.kind, op.data, revision)
+            for record in stored:
+                model[record.key] = (record.kind, record.data, record.revision)
         check(store)
     with Store(path) as store:
         check(store)
@@ -312,14 +375,25 @@ def test_scan_is_a_sort_of_the_records_of_its_kind(tmp_path_factory, batches, re
             # the store's own record objects, which the ledger's memo compares by identity
             assert all(mine is theirs for mine, theirs in zip(scanned, expected))
 
+    def commit(store, writes):
+        """One transaction of ``writes``, each at its key's current revision."""
+        ops, revisions = [], {}
+        for key, kind, data in writes:
+            if key not in revisions:
+                revisions[key] = store.get(key).revision if key in keys else 0
+            ops.append(WriteOp(key, kind, data, revisions[key]))
+            revisions[key] += 1
+        if any(_refused(data) for _, _, data in writes):
+            with pytest.raises(ValueError):
+                store.put_many(ops)
+        else:
+            store.put_many(ops)
+            keys.update(revisions)
+
     with Store(path) as store:
         for batch, one_by_one in batches:
-            if one_by_one:
-                for key, kind, data in batch:
-                    store.put(key, kind, data)
-            else:
-                store.put_many([WriteOp(key, kind, data) for key, kind, data in batch])
-            keys.update(key for key, _, _ in batch)
+            for writes in [[write] for write in batch] if one_by_one else [batch]:
+                commit(store, writes)
             check(store)
     if reopen:
         with Store(path) as store:
@@ -328,10 +402,10 @@ def test_scan_is_a_sort_of_the_records_of_its_kind(tmp_path_factory, batches, re
 
 def test_every_write_makes_a_new_record(tmp_path):
     with Store(tmp_path) as store:
-        store.put("k", "component", b"{}")
-        before = store.get("k")
-        store.put("k", "component", b"{}")
-        after = store.get("k")
+        (before,) = store.put_many([WriteOp("k", "component", b"{}", 0)])
+        assert store.get("k") is before
+        (after,) = store.put_many([WriteOp("k", "component", b"{}", 1)])
+        assert store.get("k") is after
     # the ledger's verified-prefix memo tells rewritten records by identity
     assert after is not before
     assert after == StoredRecord(key="k", kind="component", data=b"{}", revision=2)
@@ -342,13 +416,10 @@ def test_inline_log_takes_raw_appends_across_a_reopen(tmp_path):
     golden = (Path(__file__).parent / "golden" / LOG_NAME).read_bytes().splitlines()
     (tmp_path / LOG_NAME).write_bytes(b"".join(line + b"\n" for line in golden))
     kinds = {write.kind for line in golden for write in line_writes(line)} | {"note"}
+    pretty = b'{\n "pretty": 1\n}'
 
     def state(store):
-        return (
-            {kind: store.scan(kind) for kind in kinds},
-            store.record_count,
-            store.transaction_count,
-        )
+        return {kind: store.scan(kind) for kind in kinds}, store.transaction_count
 
     with Store(tmp_path) as store:
         bom = store.scan("bom")[0]
@@ -356,8 +427,14 @@ def test_inline_log_takes_raw_appends_across_a_reopen(tmp_path):
             WriteOp(bom.key, "bom", b'{"name":"renamed"}', bom.revision),
             WriteOp("note_1", "note", b"{}", 0),
         ])
-        store.put("note_2", "note", b'{\n "pretty": 1\n}', 0)  # inline again
-        store.put("note_1", "note", b'{"again":1}', 1)
+        with pytest.raises(ValueError):  # the store writes no inline line
+            store.put_many([WriteOp("note_2", "note", pretty, 0)])
+    # an inline line, as a log from before the raw layout holds it
+    with open(tmp_path / LOG_NAME, "ab") as fh:
+        fh.write(inline_line([Write("note_2", "note", 1, pretty)]))
+    with Store(tmp_path) as store:
+        assert store.get("note_2").data == pretty
+        _put(store, "note_1", "note", b'{"again":1}', 1)
         before = state(store)
     lines = (tmp_path / LOG_NAME).read_bytes().splitlines()
     assert lines[: len(golden)] == golden
@@ -370,7 +447,6 @@ def test_inline_log_takes_raw_appends_across_a_reopen(tmp_path):
     assert before == (
         {kind: sorted((r for r in held.values() if r.kind == kind), key=lambda r: r.key)
          for kind in kinds},
-        len(held),
         len(lines),
     )
     with Store(tmp_path) as store:
@@ -381,7 +457,7 @@ def test_thousand_round_trips(tmp_path):
     with Store(tmp_path) as store:
         for i in range(1000):
             key = f"ds_{i:032x}"
-            store.put(key, "component", f'{{"n":{i}}}'.encode())
+            _put(store, key, "component", f'{{"n":{i}}}'.encode())
         for i in range(1000):
             assert store.get(f"ds_{i:032x}").data == f'{{"n":{i}}}'.encode()
 
@@ -389,10 +465,10 @@ def test_thousand_round_trips(tmp_path):
 _CHILD = """
 import os, sys
 sys.path.insert(0, {src!r})
-from bomtrace.store import Store
+from bomtrace.store import Store, WriteOp
 store = Store(sys.argv[1])
 for i in range(20):
-    store.put(f"ds_{{i:032x}}", "component", f'{{{{"n":{{i}}}}}}'.encode())
+    store.put_many([WriteOp(f"ds_{{i:032x}}", "component", f'{{{{"n":{{i}}}}}}'.encode(), 0)])
     print(f"ds_{{i:032x}}", flush=True)
 os._exit(1)  # simulate a crash: no close, no cleanup
 """
