@@ -117,14 +117,15 @@ class Store:
         self._transactions = 0  # committed log lines
         self._broken: str | None = None  # why writes are refused, if they are
         try:
-            # the levels this store creates, each of whose entries is durable
-            # only once its parent is fsynced
-            missing = list(takewhile(lambda level: not level.exists(),
-                                     (self._dir, *self._dir.parents)))
-            self._dir.mkdir(parents=True, exist_ok=True)
-            for level in reversed(missing):
-                _fsync_dir(level.parent)
             created = not self._path.exists()
+            if created:
+                # the levels this store creates, each of whose entries is
+                # durable only once its parent is fsynced
+                missing = list(takewhile(lambda level: not level.exists(),
+                                         (self._dir, *self._dir.parents)))
+                self._dir.mkdir(parents=True, exist_ok=True)
+                for level in reversed(missing):
+                    _fsync_dir(level.parent)
             self._size = 0 if created else self._replay()
             self._fh = open(self._path, "ab", buffering=0)
             if created:
