@@ -20,8 +20,8 @@ def _put(store, key, kind, data, expected_revision=0):
     return store.put_many([WriteOp(key, kind, data, expected_revision)])[0].revision
 
 
-def _keys(store, kind="component"):
-    return [record.key for record in store.scan(kind)]
+def _keys(store):
+    return [record.key for record in store.scan("component")]
 
 
 def test_put_get_round_trip(tmp_path):
