@@ -170,11 +170,10 @@ def _render(command: str, doc: Any) -> str:
         lines.append("dynamic:")
         lines += [f"  {bol_id}" for bol_id in doc["dynamic"]] or ["  (none)"]
         return "\n".join(lines)
-    if command == "ledger verify":
-        if doc["ok"]:
-            return "ledger ok"
-        return f"ledger TAMPERED at index {doc['first_bad_index']}"
-    return json.dumps(doc, indent=2, sort_keys=True)
+    # ledger verify; main answers ledger export without rendering
+    if doc["ok"]:
+        return "ledger ok"
+    return f"ledger TAMPERED at index {doc['first_bad_index']}"
 
 
 # -- argument parsing ------------------------------------------------------

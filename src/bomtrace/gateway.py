@@ -1,12 +1,13 @@
 """Gateway facade: every read and mutation over one data directory.
 
 Two locks guard a gateway, always taken in this order. The commit lock
-serializes mutations: each holds it for its whole body, and commits
-atomically, its record writes and ledger entries in one store transaction
-and one fsync. The held-state lock guards the in-memory state that answers
-reads. A read takes it alone; a mutation takes it only to check that state
-and to apply what its commit stored, never across the fsync. So a read waits
-at most for an apply, and sees only committed, durable state.
+serializes mutations: each holds it for its whole body, and commits through
+``Gateway._commit``, the one write: its records and ledger entry in one store
+transaction and one fsync, then held from the bytes stored. The held-state
+lock guards the in-memory state that answers reads. A read takes it alone; a
+mutation takes it only to check that state and to apply what its commit
+stored, never across the fsync. So a read waits at most for an apply, and
+sees only committed, durable state.
 
 Timestamps are integer milliseconds since the Unix epoch, each read from
 the gateway's clock, which defaults to wall time.
@@ -134,30 +135,6 @@ class _Run:
         )
 
 
-class _CommitLock:
-    """The commit lock; on release it notes, for the releasing thread, the
-    indexes of the ledger entries appended while that thread held it."""
-
-    __slots__ = ("_lock", "_ledger", "_local", "_first")
-
-    def __init__(self, ledger: Ledger):
-        self._lock = threading.Lock()
-        self._ledger = ledger
-        self._local = threading.local()
-        self._first = 0
-
-    def __enter__(self) -> None:
-        self._lock.acquire()
-        self._first = self._ledger.count
-
-    def __exit__(self, *exc_info: Any) -> None:
-        self._local.committed = range(self._first, self._ledger.count)
-        self._lock.release()
-
-    def committed(self) -> range:
-        return getattr(self._local, "committed", range(0))
-
-
 class Gateway:
     def __init__(
         self,
@@ -204,8 +181,9 @@ class Gateway:
             start=self.store.transaction_count + 1,
         )
         self._clock = clock or wall_clock_ms
-        self._commit_lock = _CommitLock(self.ledger)
+        self._commit_lock = threading.Lock()
         self._lock = threading.RLock()  # the held-state lock
+        self._committed = threading.local()  # what each thread's last commit appended
 
     def close(self) -> None:
         self.store.close()
@@ -229,7 +207,7 @@ class Gateway:
 
     def _apply(
         self, entry_type: str, doc: Any, index: int, leaf: bytes | None = None
-    ) -> None:
+    ) -> _Run:
         """Update the runs from one committed ledger entry's decoded payload.
 
         New entries and replayed ones both come through here. A payload that
@@ -237,7 +215,7 @@ class Gateway:
         hold, raises KeyError, TypeError or ValueError. Observations take their
         index from their position in ledger order. ``leaf`` is the payload bytes
         a new observation's entry committed, kept as its anchor leaf and
-        hashed here, once.
+        hashed here, once. Returns the run the entry changed.
         """
         if entry_type == ledgermod.BOL_CREATED:
             header = Bol(
@@ -252,7 +230,7 @@ class Gateway:
             components = runtime.distinct_components(
                 self._assemblies[aid] for aid in self._boms[header.bom_id].assemblies
             )
-            self._runs[header.id] = _Run(header, sorted(components))
+            run = self._runs[header.id] = _Run(header, sorted(components))
             self._bols_by_bom.setdefault(header.bom_id, []).append(header.id)
         elif entry_type == ledgermod.OBSERVATION_RECORDED:
             run = self._runs[doc["bol_id"]]
@@ -278,10 +256,14 @@ class Gateway:
             if run.header.anchor is not None:
                 raise ValueError(f"ledger entry {index} seals BoL {run.header.id} again")
             run.header = replace(run.header, status=BolStatus.SEALED, anchor=anchor)
+        return run
 
     def committed_entries(self) -> range:
-        """The indexes of the ledger entries that this thread's last mutation committed."""
-        return self._commit_lock.committed()
+        """The indexes of the ledger entries that this thread's last successful mutation committed.
+
+        A mutation that fails leaves it as it was.
+        """
+        return getattr(self._committed, "entries", range(0))
 
     # -- record access ---------------------------------------------------
 
@@ -299,14 +281,28 @@ class Gateway:
         kind = _STORE_KIND[type(record)]
         return WriteOp(record.id, kind, canonical_bytes(record.to_dict()), expected_revision)
 
-    def _commit(self, writes: list[WriteOp]) -> Any:
-        """Commit model records in one transaction, then hold what was stored.
+    def _commit(
+        self, writes: list[WriteOp], entry_type: str | None = None, payload: Any = None
+    ) -> Any:
+        """The one write: commit ``writes``, and with ``entry_type`` the ledger
+        entry that chains ``payload``, in one transaction; then hold them.
 
-        Returns the held form of the last record, exactly as it was stored.
+        Notes for this thread the entries appended, then holds each record
+        and applies the entry from the bytes committed. Returns the run the
+        entry changed, or else the held form of the last record.
         """
-        self.store.put_many(writes)
+        first = self.ledger.count
+        if entry_type is None:
+            self.store.put_many(writes)
+        else:
+            entry, document = self.ledger.append_entry(entry_type, payload, extra_writes=writes)
+        self._committed.entries = range(first, self.ledger.count)
         with self._lock:
-            return [self._hold(op) for op in writes][-1]
+            for op in writes:
+                held = self._hold(op)
+            if entry_type is None:
+                return held
+            return self._apply(entry_type, document, entry.index, entry.payload)
 
     def get_component(self, component_id: str) -> ComponentRecord | None:
         with self._lock:
@@ -505,22 +501,16 @@ class Gateway:
                 freeze.append(
                     self._write(replace(bom, frozen=True), self.store.get(bom_id).revision)
                 )
-            bol_id = self.ids.new_id(idmod.BOL)
             payload: dict[str, Any] = {
-                "bol_id": bol_id,
+                "bol_id": self.ids.new_id(idmod.BOL),
                 "bom_id": bom_id,
                 "created_at": self._clock(),
             }
             if run_label is not None:
                 payload["run_label"] = run_label
-            entry, created = self.ledger.append_entry(
-                ledgermod.BOL_CREATED, payload, extra_writes=freeze
-            )
+            run = self._commit(freeze, ledgermod.BOL_CREATED, payload)
             with self._lock:
-                for op in freeze:
-                    self._hold(op)
-                self._apply(ledgermod.BOL_CREATED, created, entry.index)
-                return self._runs[bol_id].snapshot()
+                return run.snapshot()
 
     def resolve_access(self, bol_id: str, component_id: str) -> dict[str, str]:
         with self._lock:
@@ -573,11 +563,10 @@ class Gateway:
             record = runtime.observation_record(
                 bol_id, component_id, index, Observation(recorded_at, payload, note)
             )
-            # the ledger entry is the observation's only stored copy
-            entry, stored = self.ledger.append_entry(ledgermod.OBSERVATION_RECORDED, record)
+            # the ledger entry is the observation's only stored copy; the run
+            # holds its stored (canonical) form, as a reopen would replay it
+            self._commit([], ledgermod.OBSERVATION_RECORDED, record)
             with self._lock:
-                # hold the stored (canonical) form, as a reopen would replay it
-                self._apply(ledgermod.OBSERVATION_RECORDED, stored, entry.index, entry.payload)
                 return observations[-1], index
 
     def seal_bol(self, bol_id: str) -> Anchor:
@@ -587,14 +576,13 @@ class Gateway:
                 if run.header.status is BolStatus.SEALED:
                     raise AlreadySealed(f"BoL {bol_id} is already sealed", detail={"id": bol_id})
                 leaves, levels = run.merkle_tree()
-            entry, sealed = self.ledger.append_entry(ledgermod.BOL_SEALED, {
+            self._commit([], ledgermod.BOL_SEALED, {
                 "bol_id": bol_id,
                 "leaf_count": len(leaves),
                 "merkle_root": levels[-1][0].hex(),
                 "sealed_at": self._clock(),
             })
             with self._lock:
-                self._apply(ledgermod.BOL_SEALED, sealed, entry.index)
                 return run.header.anchor
 
     # -- lineage queries ------------------------------------------------------

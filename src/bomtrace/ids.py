@@ -20,27 +20,25 @@ BOM = "bom"
 BOL = "bol"
 REQUEST = "req"
 
-_ID_RE = re.compile(r"^(ds|af|as|bom|bol)_[0-9a-f]{32}$")
-_PREFIX_RE = {
-    DATA_SOURCE: re.compile(r"^ds_[0-9a-f]{32}$"),
-    ARTIFACT: re.compile(r"^af_[0-9a-f]{32}$"),
-    ASSEMBLY: re.compile(r"^as_[0-9a-f]{32}$"),
-    BOM: re.compile(r"^bom_[0-9a-f]{32}$"),
-    BOL: re.compile(r"^bol_[0-9a-f]{32}$"),
-}
+# the one id grammar, always matched whole: ``$`` would also pass a trailing LF
+_ID_RE = re.compile(r"(ds|af|as|bom|bol)_[0-9a-f]{32}")
+
+
+def _prefix(value: str) -> str | None:
+    match = _ID_RE.fullmatch(value)
+    return match and match[1]
 
 
 def is_entity_id(value: str) -> bool:
-    return bool(_ID_RE.match(value))
+    return _prefix(value) is not None
 
 
 def matches_kind(value: str, prefix: str) -> bool:
-    pattern = _PREFIX_RE.get(prefix)
-    return bool(pattern and pattern.match(value))
+    return _prefix(value) == prefix
 
 
 def is_component_id(value: str) -> bool:
-    return matches_kind(value, DATA_SOURCE) or matches_kind(value, ARTIFACT)
+    return _prefix(value) in (DATA_SOURCE, ARTIFACT)
 
 
 def next_counter(values: Iterable[str]) -> int:

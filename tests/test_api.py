@@ -777,3 +777,70 @@ def test_route_table_answers_alike_under_a_base_path(gw):
             plain = dispatch(gw, method, path)
             based = dispatch(gw, method, "/api" + path, base_path="/api")
             assert based == plain, (method, path)
+
+
+# -- answers that no other test reaches -----------------------------------------
+
+
+def test_verify_inclusion_refuses_a_leaf_that_is_not_base64(gw):
+    status, doc, _ = call(gw, "POST", "/ledger/verify-inclusion", {
+        "leaf_b64": "not base64!",
+        "proof": {"leaf_index": 0, "siblings": []},
+        "merkle_root": "0" * 64,
+    })
+    assert (status, doc["code"]) == (400, "MALFORMED_BODY")
+    assert doc["message"].startswith("leaf_b64 is not valid base64: ")
+
+
+def test_inline_component_whose_kind_disagrees_with_its_list_is_refused(gw):
+    before = gw.store.transaction_count
+    status, doc, _ = call(gw, "POST", "/boms", {
+        "name": "B",
+        "assemblies": [{"name": "A", "outputData": [{"name": "Out", "kind": "artifact"}]}],
+    })
+    assert (status, doc) == (400, {
+        "code": "MALFORMED_BODY",
+        "message": "component 'Out' declares kind artifact but sits in a data_source list",
+    })
+    assert gw.store.transaction_count == before
+
+
+@pytest.mark.parametrize(
+    "listed",
+    ["ds_" + "a" * 32 + "\n", "ds_" + "a" * 31],
+    ids=["trailing_line_feed", "short_hex"],
+)
+def test_a_listed_string_that_is_no_id_is_malformed_not_dangling(gw, listed):
+    # an id is matched whole: a trailing LF makes a string no id, as a short one is
+    status, doc, _ = call(gw, "POST", "/boms", {
+        "name": "B", "assemblies": [{"name": "A", "inputData": [listed]}],
+    })
+    assert (status, doc) == (400, {
+        "code": "MALFORMED_BODY",
+        "message": f"{listed!r} is neither a name declared in this file nor a component id",
+    })
+
+
+def test_component_description_is_answered_also_after_reopen(tmp_path):
+    gateway = Gateway(tmp_path / "data", deterministic_ids=True)
+    try:
+        status, doc, _ = call(gateway, "POST", "/boms", {
+            "name": "B",
+            "assemblies": [{"name": "A", "inputData": [
+                {"name": "Frame", "description": "one camera frame"},
+            ]}],
+        })
+        assert status == 201, doc
+        bom_id = doc["bom"]["id"]
+        cid = component_by_name(doc["bom"], "Frame")
+        paths = [f"/components/{cid}", f"/boms/{bom_id}"]
+        answers = [call(gateway, "GET", path) for path in paths]
+    finally:
+        gateway.close()
+    assert answers[0][1]["description"] == "one camera frame"
+    assert answers[1][1]["assemblies"][0]["inputData"][0]["description"] == "one camera frame"
+    gateway = Gateway(tmp_path / "data", deterministic_ids=True)
+    try:
+        assert [call(gateway, "GET", path) for path in paths] == answers
+    finally:
+        gateway.close()

@@ -5,10 +5,12 @@ import pytest
 
 from bomtrace.api import ROUTES, dispatch
 from bomtrace.cli import ENDPOINTS, main
+from bomtrace.errors import StorageFailure
 from bomtrace.gateway import Gateway
 from bomtrace.server import ApiServer
-from bomtrace.store import LOG_NAME
+from bomtrace.store import LOG_NAME, Store
 from conftest import HPC_MANIFEST
+from logutil import overwrite
 
 
 @pytest.fixture
@@ -216,6 +218,85 @@ def test_human_output_mentions_names(workdir, capsys):
     for expected in ("HPC Congestion", "Traffic Scene Analysis", "Traffic Scene",
                      "Congestion Model", "Result", "dataAccess"):
         assert expected in out
+
+
+def test_human_output_of_each_command(workdir, capsys):
+    def human(*argv):
+        code, out, err = run_cli(workdir, *argv, capsys=capsys)
+        assert (code, err) == (0, ""), argv
+        return out.splitlines()
+
+    (bom_id,) = human("bom", "define", str(workdir / "hpc.bom.json"))
+    code, out, _ = run_cli(workdir, "bom", "show", bom_id, json_mode=True, capsys=capsys)
+    (assembly,) = json.loads(out)["assemblies"]
+    scene, model, result = (
+        assembly[key][0]["id"] for key in ("inputData", "inputArtifacts", "outputData")
+    )
+    assert human("uses", scene) == [
+        "static:", f"  input of {assembly['id']} in {bom_id}", "dynamic:", "  (none)",
+    ]
+
+    (line,) = human("bol", "new", bom_id, "--label", "run-1")
+    bol_id = line.split()[0]
+    assert line == f"{bol_id} (bom {bom_id}, 3 shadow items)"
+    assert human("bol", "report", bol_id) == [
+        f"report for {bol_id}",
+        "  anchor: none (BoL still open)",
+        f"  bom: HPC Congestion [{bom_id}]",
+        *(f"  {cid}: 0 observation(s)" for cid in sorted([scene, model, result])),
+    ]
+    human("bol", "record", bol_id, result, "congestion_score=7", "--note", "peak")
+    (line,) = human("bol", "seal", bol_id)
+    anchor = line.split(": ", 1)[1]
+    assert line == f"sealed {bol_id}: {anchor}"
+    assert anchor.endswith(" leaves=2 ledger_index=2")
+    report = human("bol", "report", bol_id)
+    assert report[:3] == [
+        f"report for {bol_id}", f"  anchor: {anchor}", f"  bom: HPC Congestion [{bom_id}]",
+    ]
+    at = report.index(f"  {result}: 1 observation(s)")
+    recorded_at, rest = report[at + 1].strip().split("  ", 1)
+    assert recorded_at.isdigit() and rest == "congestion_score=7  # peak"
+
+    assert human("trace", result) == [
+        f"origin: {result}",
+        "nodes (4):", *(f"  {node}" for node in sorted([scene, model, assembly["id"], result])),
+        "edges (3):",
+        *(f"  {src} -> {dst}" for src, dst in sorted(
+            [(scene, assembly["id"]), (model, assembly["id"]), (assembly["id"], result)]
+        )),
+    ]
+    assert human("track", scene) == [
+        f"origin: {scene}",
+        "nodes (3):", *(f"  {node}" for node in sorted([scene, assembly["id"], result])),
+        "edges (2):",
+        *(f"  {src} -> {dst}" for src, dst in sorted(
+            [(scene, assembly["id"]), (assembly["id"], result)]
+        )),
+    ]
+    assert human("uses", scene)[2:] == ["dynamic:", f"  {bol_id}"]
+    gateway = Gateway(workdir / "data", deterministic_ids=True)
+    try:
+        lone = gateway.create_component("data_source", "Lone").id
+    finally:
+        gateway.close()
+    assert human("uses", lone) == ["static:", "  (none)", "dynamic:", "  (none)"]
+
+    assert human("ledger", "verify") == ["ledger ok"]
+    with Store(workdir / "data") as store:
+        record = store.get(f"le_{1:016d}")
+        overwrite(store, record.key, record.kind, record.data.replace(b"=7", b"=8"))
+    assert human("ledger", "verify") == ["ledger TAMPERED at index 1"]
+
+
+def test_data_dir_that_is_a_file_exits_one(workdir, capsys):
+    data = workdir / "data"
+    data.write_bytes(b"")
+    with pytest.raises(StorageFailure):
+        Gateway(data)
+    code, out, err = run_cli(workdir, "ledger", "verify", capsys=capsys)
+    assert (code, out) == (1, "")
+    assert err.startswith(f"error[STORAGE_FAILURE]: cannot open store at {data}: "), err
 
 
 def test_server_mode_round_trip(workdir, capsys):

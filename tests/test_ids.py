@@ -64,3 +64,15 @@ def test_component_id_check():
     assert not ids.is_component_id("as_" + "a" * 32)
     assert not ids.is_component_id("ds_" + "A" * 32)  # uppercase hex rejected
     assert not ids.is_component_id("ds_" + "a" * 31)
+
+
+def test_an_id_is_matched_whole():
+    value = "ds_" + "a" * 32
+    for text in (value + "\n", value + "\r\n", " " + value, value + "0", "x" + value):
+        assert not ids.is_entity_id(text), text
+        assert not ids.matches_kind(text, ids.DATA_SOURCE), text
+        assert not ids.is_component_id(text), text
+    assert ids.next_counter([f"ds_{9:032x}\n"]) == 1
+    assert ids.matches_kind(value, ids.DATA_SOURCE)
+    assert not ids.matches_kind(value, ids.ARTIFACT)
+    assert not ids.matches_kind(value, ids.REQUEST)

@@ -6,6 +6,10 @@ each use of it must sit inside a ``with self._lock`` block, or in a private
 helper whose every use sits inside such a block or in another such helper
 (``_apply``, ``_hold``). The commit lock comes first: nothing that takes it
 runs under the held-state lock, so a read never waits for a commit's fsync.
+
+A second check keeps one write path: only ``_commit`` writes to the store or
+the ledger, and ``_hold`` and ``_apply``, which turn committed bytes into held
+state, run only from ``_commit`` and at open (``__init__``, ``_replay``).
 """
 
 import ast
@@ -15,6 +19,13 @@ from test_stdlib_only import PACKAGE
 HELD = {"_components", "_assemblies", "_boms", "_runs", "_bols_by_bom", "_frozen_parts"}
 EXEMPT = {"__init__", "_replay"}
 COMMIT = {"_commit_lock"}
+# each name of the write path, with the only functions that may use it
+WRITE_PATH = {
+    "put_many": {"_commit"},
+    "append_entry": {"_commit"},
+    "_hold": {"_commit", "__init__", "_replay"},
+    "_apply": {"_commit", "__init__", "_replay"},
+}
 
 
 def _functions(tree: ast.Module) -> dict[str, tuple[ast.FunctionDef, bool]]:
@@ -153,3 +164,63 @@ class Gateway:
 def test_held_state_is_used_only_under_the_held_state_lock():
     source = (PACKAGE / "gateway.py").read_text(encoding="utf-8")
     assert lock_breaches(source) == []
+
+
+def write_path_breaches(source: str) -> list[str]:
+    """``line: function: name`` for each use of a ``WRITE_PATH`` name outside its functions."""
+    found = []
+
+    def visit(node, function):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            function = node.name
+        elif isinstance(node, ast.Attribute) and node.attr in WRITE_PATH:
+            if function not in WRITE_PATH[node.attr]:
+                found.append(f"{node.lineno}: {function}: {node.attr}")
+        for child in ast.iter_child_nodes(node):
+            visit(child, function)
+
+    visit(ast.parse(source), None)
+    return found
+
+
+def test_the_write_path_check_sees_what_it_forbids():
+    source = '''
+class Gateway:
+    def __init__(self, records):
+        for record in records:
+            self._hold(record)
+
+    def _replay(self, entry):
+        self._apply(entry)
+
+    def _commit(self, writes, entry=None):
+        if entry is None:
+            self.store.put_many(writes)
+        else:
+            self.ledger.append_entry(entry, extra_writes=writes)
+        with self._lock:
+            for op in writes:
+                self._hold(op)
+            self._apply(entry)
+
+    def seal(self, entry):
+        self.ledger.append_entry(entry)
+        with self._lock:
+            self._apply(entry)
+
+    def freeze(self, op):
+        write = self.store.put_many
+        write([op])
+        self._hold(op)
+'''
+    assert write_path_breaches(source) == [
+        "21: seal: append_entry",  # a second way to the ledger
+        "23: seal: _apply",  # and a second way into held state
+        "26: freeze: put_many",  # also when only named
+        "28: freeze: _hold",
+    ]
+
+
+def test_only_commit_writes_and_only_commit_and_open_hold():
+    source = (PACKAGE / "gateway.py").read_text(encoding="utf-8")
+    assert write_path_breaches(source) == []

@@ -202,6 +202,50 @@ def test_a_skipped_bol_entry_keeps_its_deterministic_id(tmp_path):
         reopened.close()
 
 
+@pytest.mark.parametrize(
+    "entry_type, payload",
+    [
+        # a BoL that already exists
+        (BOL_CREATED, lambda bol, cid: {
+            "bol_id": bol.id, "bom_id": bol.bom_id, "created_at": FIXED_NOW,
+        }),
+        # an observation whose fields have the wrong types
+        (OBSERVATION_RECORDED, lambda bol, cid: {
+            "bol_id": bol.id, "component_id": cid, "observation_index": 1,
+            "recorded_at": "noon", "payload": 7,
+        }),
+        # a second seal
+        (BOL_SEALED, lambda bol, cid: {
+            "bol_id": bol.id, "leaf_count": 1, "merkle_root": "0" * 64, "sealed_at": FIXED_NOW,
+        }),
+    ],
+    ids=["bol_created_twice", "observation_of_wrong_types", "sealed_twice"],
+)
+def test_a_chained_entry_that_replay_refuses_is_skipped(tmp_path, entry_type, payload):
+    gw = open_gateway(tmp_path)
+    parts = build_hpc(gw)
+    bol = gw.instantiate_bol(parts["bom"])
+    gw.record_observation(bol.id, parts["result"], "reading 0")
+    gw.seal_bol(bol.id)
+    paths = [f"/bols/{bol.id}", f"/bols/{bol.id}/report"]
+    answers = [dispatch(gw, "GET", path) for path in paths]
+    # chained as the gateway chains its own, so the chain itself stays valid
+    gw.ledger.append_entry(entry_type, payload(bol, parts["result"]))
+    gw.close()
+
+    reopened = open_gateway(tmp_path)
+    try:
+        assert reopened.verify_chain() == (True, None)
+        assert [dispatch(reopened, "GET", path) for path in paths] == answers
+        named = {
+            json.loads(line)["payload"]["bol_id"]
+            for line in reopened.export_ledger().splitlines()
+        }
+        assert reopened.instantiate_bol(parts["bom"]).id not in named
+    finally:
+        reopened.close()
+
+
 def test_concurrent_observations_get_dense_indexes(tmp_path):
     gw = open_gateway(tmp_path)
     parts = build_hpc(gw)
