@@ -210,12 +210,13 @@ class Gateway:
     ) -> _Run:
         """Update the runs from one committed ledger entry's decoded payload.
 
-        New entries and replayed ones both come through here. A payload that
-        names an unknown BoM, BoL or shadow item, or whose fields a run cannot
-        hold, raises KeyError, TypeError or ValueError. Observations take their
-        index from their position in ledger order. ``leaf`` is the payload bytes
-        a new observation's entry committed, kept as its anchor leaf and
-        hashed here, once. Returns the run the entry changed.
+        New entries and replayed ones both come through here. An entry of an
+        unknown type, or whose payload names an unknown BoM, BoL or shadow
+        item, or has fields a run cannot hold, raises KeyError, TypeError or
+        ValueError. Observations take their index from their position in
+        ledger order. ``leaf`` is the payload bytes a new observation's entry
+        committed, kept as its anchor leaf and hashed here, once. Returns the
+        run the entry changed.
         """
         if entry_type == ledgermod.BOL_CREATED:
             header = Bol(
@@ -256,6 +257,8 @@ class Gateway:
             if run.header.anchor is not None:
                 raise ValueError(f"ledger entry {index} seals BoL {run.header.id} again")
             run.header = replace(run.header, status=BolStatus.SEALED, anchor=anchor)
+        else:
+            raise ValueError(f"ledger entry {index} has unknown type {entry_type!r}")
         return run
 
     def committed_entries(self) -> range:

@@ -38,7 +38,7 @@ def matches_kind(value: str, prefix: str) -> bool:
 
 
 def is_component_id(value: str) -> bool:
-    return _prefix(value) in (DATA_SOURCE, ARTIFACT)
+    return matches_kind(value, DATA_SOURCE) or matches_kind(value, ARTIFACT)
 
 
 def next_counter(values: Iterable[str]) -> int:

@@ -145,6 +145,9 @@ def test_tampered_observation_entry_still_opens(tmp_path, field, value):
         (BOL_CREATED, "created_at", "noon"),  # not an integer
         (BOL_SEALED, "bol_id", "bol_" + "e" * 32),  # a BoL the directory lacks
         (BOL_SEALED, "leaf_count", [1]),  # not an integer
+        # an entry type replay does not know, its payload still naming the BoL
+        (BOL_CREATED, "entry_type", "bol_sealedx"),
+        (BOL_SEALED, "entry_type", "bol_sealedx"),
     ],
 )
 def test_tampered_bol_entry_still_opens(tmp_path, entry_type, field, value):
@@ -160,7 +163,7 @@ def test_tampered_bol_entry_still_opens(tmp_path, entry_type, field, value):
             if json.loads(record.data)["entry_type"] == entry_type
         ]
         doc = json.loads(record.data)
-        doc["payload"][field] = value
+        (doc if field == "entry_type" else doc["payload"])[field] = value
         overwrite(store, record.key, record.kind, canonical_bytes(doc))
     bad_index = int(record.key.split("_")[1])
 
