@@ -9,6 +9,12 @@ mutation takes it only to check that state and to apply what its commit
 stored, never across the fsync. So a read waits at most for an apply, and
 sees only committed, durable state.
 
+Two maps index the shared graph, and only ``Gateway._hold`` changes them:
+``_owner`` maps each assembly that a held BoM lists to that BoM, ``_sites``
+each component to its ``(assembly, role)`` uses there. An assembly is held
+before any BoM that lists it. ``trace``, ``track`` and ``find_uses`` walk the
+maps, so they read only what they reach.
+
 Timestamps are integer milliseconds since the Unix epoch, each read from
 the gateway's clock, which defaults to wall time.
 """
@@ -149,6 +155,8 @@ class Gateway:
         self._components: dict[str, ComponentRecord] = {}
         self._assemblies: dict[str, Assembly] = {}
         self._boms: dict[str, Bom] = {}
+        self._owner: dict[str, str] = {}  # the graph index (module docstring)
+        self._sites: dict[str, set[tuple[str, str]]] = {}
         # a frozen BoM's static graph and detail as canonical bytes, rendered
         # on the first report read that needs them
         self._frozen_parts: dict[str, tuple[Encoded, Encoded]] = {}
@@ -212,11 +220,11 @@ class Gateway:
 
         New entries and replayed ones both come through here. An entry of an
         unknown type, or whose payload names an unknown BoM, BoL or shadow
-        item, or has fields a run cannot hold, raises KeyError, TypeError or
-        ValueError. Observations take their index from their position in
-        ledger order. ``leaf`` is the payload bytes a new observation's entry
-        committed, kept as its anchor leaf and hashed here, once. Returns the
-        run the entry changed.
+        item, or has fields a run cannot hold, or observes a sealed run,
+        raises KeyError, TypeError or ValueError. Observations take their
+        index from their position in ledger order. ``leaf`` is the payload
+        bytes a new observation's entry committed, kept as its anchor leaf
+        and hashed here, once. Returns the run the entry changed.
         """
         if entry_type == ledgermod.BOL_CREATED:
             header = Bol(
@@ -235,6 +243,8 @@ class Gateway:
             self._bols_by_bom.setdefault(header.bom_id, []).append(header.id)
         elif entry_type == ledgermod.OBSERVATION_RECORDED:
             run = self._runs[doc["bol_id"]]
+            if run.header.anchor is not None:
+                raise ValueError(f"ledger entry {index} observes sealed BoL {run.header.id}")
             cid = doc["component_id"]
             observations = run.observations[cid]
             observation = Observation.from_dict(doc)
@@ -275,6 +285,19 @@ class Gateway:
         held = {KIND_COMPONENT: self._components, KIND_ASSEMBLY: self._assemblies,
                 KIND_BOM: self._boms}[record.kind]
         decoded = _RECORD_KINDS[record.kind].from_dict(from_canonical(record.data))
+        if record.kind == KIND_BOM:  # its old assemblies leave the graph index, its new ones enter
+            for bom, enter in ((held.get(record.key), False), (decoded, True)):
+                for aid in bom.assemblies if bom is not None else ():
+                    assembly = self._assemblies.get(aid)
+                    if assembly is None:
+                        continue
+                    self._owner.pop(aid, None)
+                    if enter:
+                        self._owner[aid] = bom.id
+                    for role, cids in (("input", assembly.inputs), ("output", assembly.outputs)):
+                        for cid in cids:
+                            sites = self._sites.setdefault(cid, set())
+                            (sites.add if enter else sites.discard)((aid, role))
         held[record.key] = decoded
         return decoded
 
@@ -357,10 +380,6 @@ class Gateway:
     def require_bol(self, bol_id: str) -> Bol:
         with self._lock:
             return self._require_run(bol_id).snapshot()
-
-    def _all_boms(self) -> list[Bom]:
-        with self._lock:
-            return [self._boms[bom_id] for bom_id in sorted(self._boms)]
 
     # -- core model mutations ---------------------------------------------
 
@@ -480,7 +499,7 @@ class Gateway:
                 get_assembly = lambda aid, held=get_assembly: staged.assemblies.get(aid) or held(aid)
                 get_component = lambda cid, held=get_component: staged.components.get(cid) or held(cid)
             report = model.validate_structure(
-                assembly_ids, bom_id, get_assembly, self._all_boms(), get_component
+                assembly_ids, bom_id, get_assembly, self._boms.values(), get_component
             )
         if refusal is not None and not report.ok:
             raise ValidationFailed(refusal, detail={"report": report.to_dict()})
@@ -590,31 +609,31 @@ class Gateway:
 
     # -- lineage queries ------------------------------------------------------
 
-    def _graph_edges(self, scope: str) -> set[tuple[str, str]]:
-        if scope == lineage.GLOBAL_SCOPE:
-            member_ids = {aid for bom in self._boms.values() for aid in bom.assemblies}
-        else:
-            member_ids = set(self._require_bom(scope).assemblies)
-        return model.graph_edges(
-            self._assemblies[aid] for aid in member_ids if aid in self._assemblies
-        )
-
     def _lineage_query(self, node_id: str, scope: str, backward: bool) -> lineage.LineageGraph:
         with self._lock:
-            if self.get_component(node_id) is None and self.get_assembly(node_id) is None:
+            if node_id not in self._components and node_id not in self._assemblies:
                 raise UnknownId(f"unknown component or assembly {node_id}", detail={"id": node_id})
-            edges = self._graph_edges(scope)
-            if scope != lineage.GLOBAL_SCOPE:
-                in_scope = set()
-                for aid in self._require_bom(scope).assemblies:
-                    in_scope.add(aid)
-                    in_scope.update(self._assemblies[aid].components)
-                if node_id not in in_scope:
+            if scope == lineage.GLOBAL_SCOPE:
+                in_scope = self._owner.__contains__
+            else:
+                self._require_bom(scope)
+                in_scope = lambda aid: self._owner.get(aid) == scope
+                sites = self._sites.get(node_id, ())
+                if not in_scope(node_id) and not any(in_scope(aid) for aid, _ in sites):
                     raise NotInScope(
                         f"{node_id} does not belong to BoM {scope}",
                         detail={"id": node_id, "bom_id": scope},
                     )
-            return lineage.closure(edges, node_id, backward=backward)
+            role = "output" if backward else "input"
+
+            def neighbors(node: str) -> Iterable[str]:
+                # an assembly in scope leads to its inputs or outputs, a component to its assemblies
+                if in_scope(node):
+                    assembly = self._assemblies[node]
+                    return assembly.inputs if backward else assembly.outputs
+                return [aid for aid, r in self._sites.get(node, ()) if r == role and in_scope(aid)]
+
+            return lineage.closure(node_id, neighbors, backward)
 
     def trace(self, node_id: str, scope: str = lineage.GLOBAL_SCOPE) -> lineage.LineageGraph:
         """Where-from: the origin plus everything it was derived from."""
@@ -627,9 +646,9 @@ class Gateway:
     def find_uses(self, component_id: str) -> lineage.ComponentUses:
         with self._lock:
             self.require_component(component_id)
-            return lineage.component_uses(
-                component_id, self._boms.values(), self._assemblies, self._bols_by_bom
-            )
+            held = self._sites.get(component_id, ())
+            sites = [lineage.UseSite(self._owner[aid], aid, role) for aid, role in held]
+            return lineage.component_uses(sites, self._bols_by_bom)
 
     def bom_detail(self, bom_id: str) -> dict[str, Any]:
         with self._lock:

@@ -4,13 +4,15 @@ Edges run input component -> assembly -> output component, for every
 assembly belonging to a stored BoM. Components shared between BoMs stitch
 their subgraphs together, so a global query crosses experiment boundaries.
 Tracing walks edges backwards to origins (where-from); tracking walks
-forwards to consumers (where-used).
+forwards to consumers (where-used). The caller holds the graph: ``closure``
+asks it for each reached node's neighbours, and ``component_uses`` gets a
+component's use sites, so a query costs what it reaches, not the graph.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Iterable, Mapping
+from typing import Any, Callable, Iterable, Mapping
 
 from .ledger import Anchor
 from .model import ROLES, Assembly, Bom, ComponentRecord, graph_edges
@@ -88,29 +90,19 @@ class LineageReport:
         return doc
 
 
-def _adjacency(edges: Iterable[tuple[str, str]], reverse: bool) -> dict[str, set[str]]:
-    adj: dict[str, set[str]] = {}
-    for src, dst in edges:
-        if reverse:
-            adj.setdefault(dst, set()).add(src)
-        else:
-            adj.setdefault(src, set()).add(dst)
-    return adj
+def closure(origin: str, neighbors: Callable[[str], Iterable[str]], backward: bool) -> LineageGraph:
+    """Origin plus everything reachable from it through ``neighbors``.
 
-
-def closure(edges: set[tuple[str, str]], origin: str, backward: bool) -> LineageGraph:
-    """Origin plus everything reachable along (or against) the edges.
-
-    The edges between reached nodes are exactly those the walk crosses: it
-    crosses every edge into (or out of) each node it reaches.
+    ``neighbors(node)`` yields the nodes one edge away, against the edges if
+    ``backward``. The edges between reached nodes are exactly those the walk
+    crosses: it crosses every edge into (or out of) each node it reaches.
     """
-    adj = _adjacency(edges, reverse=backward)
     reached = {origin}
     crossed = set()
     frontier = [origin]
     while frontier:
         node = frontier.pop()
-        for nxt in adj.get(node, ()):
+        for nxt in neighbors(node):
             crossed.add((nxt, node) if backward else (node, nxt))
             if nxt not in reached:
                 reached.add(nxt)
@@ -119,23 +111,10 @@ def closure(edges: set[tuple[str, str]], origin: str, backward: bool) -> Lineage
 
 
 def component_uses(
-    component_id: str,
-    boms: Iterable[Bom],
-    assemblies_by_id: Mapping[str, Assembly],
-    bols_by_bom: Mapping[str, Iterable[str]],
+    sites: Iterable[UseSite], bols_by_bom: Mapping[str, Iterable[str]]
 ) -> ComponentUses:
-    """Static use sites of a component, and the runs (BoLs) of those BoMs."""
-    sites = []
-    for bom in boms:
-        for aid in bom.assemblies:
-            assembly = assemblies_by_id.get(aid)
-            if assembly is None:
-                continue
-            if component_id in assembly.inputs:
-                sites.append(UseSite(bom.id, aid, "input"))
-            if component_id in assembly.outputs:
-                sites.append(UseSite(bom.id, aid, "output"))
-    sites.sort(key=lambda s: (s.bom_id, s.assembly_id, s.role))
+    """A component's static use sites, sorted, and the runs (BoLs) of their BoMs."""
+    sites = sorted(sites, key=lambda s: (s.bom_id, s.assembly_id, s.role))
     bom_ids = {site.bom_id for site in sites}
     bol_ids = {bol_id for bom_id in bom_ids for bol_id in bols_by_bom.get(bom_id, ())}
     return ComponentUses(static=tuple(sites), dynamic=tuple(sorted(bol_ids)))

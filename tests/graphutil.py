@@ -9,7 +9,10 @@ from __future__ import annotations
 
 import random
 
+from bomtrace.canonical import from_canonical
 from bomtrace.gateway import Gateway
+from bomtrace.model import Bom
+from bomtrace.store import KIND_BOM
 
 
 def transitive_closure(nodes: set[str], edges: set[tuple[str, str]]) -> dict[str, set[str]]:
@@ -45,11 +48,18 @@ def has_cycle(reach: dict[str, set[str]]) -> bool:
     return any(node in targets for node, targets in reach.items())
 
 
-def global_graph(gateway: Gateway) -> tuple[set[str], set[tuple[str, str]]]:
-    """Nodes and edges of the stored ecosystem, read back independently."""
+def stored_boms(gateway: Gateway) -> list[Bom]:
+    """Every BoM, decoded from its stored record, in id order."""
+    return [Bom.from_dict(from_canonical(record.data)) for record in gateway.store.scan(KIND_BOM)]
+
+
+def global_graph(
+    gateway: Gateway, boms: list[Bom] | None = None
+) -> tuple[set[str], set[tuple[str, str]]]:
+    """Nodes and edges of the stored ecosystem (or of ``boms``), read back independently."""
     nodes: set[str] = set()
     edges: set[tuple[str, str]] = set()
-    for bom in gateway._all_boms():
+    for bom in stored_boms(gateway) if boms is None else boms:
         for aid in bom.assemblies:
             assembly = gateway.get_assembly(aid)
             nodes.add(aid)

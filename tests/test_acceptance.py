@@ -33,6 +33,7 @@ from graphutil import (
     oracle_trace,
     oracle_track,
     random_ecosystem,
+    stored_boms,
     transitive_closure,
 )
 from test_api import _error_scenarios
@@ -136,7 +137,7 @@ def test_criterion_4_shadow_item_counts(tmp_path):
         try:
             random_ecosystem(gateway, rng, max_components=30,
                              max_assemblies=10, max_boms=4)
-            for bom in gateway._all_boms():
+            for bom in stored_boms(gateway):
                 if checked >= 100:
                     break
                 distinct = set()
@@ -307,7 +308,7 @@ def test_criterion_8_api_cli_contract(tmp_path, capsys):
         assert status == 500 and b"STORAGE_FAILURE" in data
 
         # GET round-trips byte-identical
-        bom = gateway._all_boms()[0]
+        bom = stored_boms(gateway)[0]
         component_id = gateway.get_assembly(bom.assemblies[0]).components[0]
         bol_id = gateway.find_uses(component_id).dynamic[0]  # a run that used it
         for path in (f"/boms/{bom.id}", f"/bols/{bol_id}", f"/bols/{bol_id}/report",

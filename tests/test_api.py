@@ -14,6 +14,7 @@ from bomtrace.errors import StorageFailure
 from bomtrace.gateway import Gateway
 from bomtrace.model import ROLES
 from conftest import HPC_MANIFEST
+from graphutil import stored_boms
 
 # endpoints promised by the external contract, verbatim
 CONTRACT_ENDPOINTS = [
@@ -466,7 +467,7 @@ def test_ledger_export_content_type(gw):
     assert status == 200
     assert ctype == "application/x-ndjson"
     assert data == b""  # defining a BoM alone writes no run events
-    bom = gw._all_boms()[0]
+    bom = stored_boms(gw)[0]
     gw.instantiate_bol(bom.id)
     _, _, data = dispatch(gw, "GET", "/ledger/export")
     assert data.count(b"\n") == 1

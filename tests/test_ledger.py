@@ -91,6 +91,13 @@ def test_payload_with_no_canonical_form_is_refused(store):
     assert (ledger.count, store.transaction_count) == (0, 0)
 
 
+def test_entry_of_an_unknown_type_is_refused(store):
+    ledger = Ledger(store)
+    with pytest.raises(ValueError):
+        ledger.append_entry("bol_renamed", {"bol_id": "bol_1"})
+    assert (ledger.count, store.transaction_count) == (0, 0)
+
+
 def test_verify_empty_ledger(store):
     assert Ledger(store).verify_chain() == (True, None)
 

@@ -118,10 +118,15 @@ def test_closure_of_cyclic_graphs_matches_reachability_oracle():
         nodes = [f"n{i}" for i in range(rng.randint(1, 10))]
         edges = {(rng.choice(nodes), rng.choice(nodes)) for _ in range(rng.randint(0, 25))}
         reach = transitive_closure(set(nodes), edges)
+        forward, back = {}, {}
+        for src, dst in edges:
+            forward.setdefault(src, set()).add(dst)
+            back.setdefault(dst, set()).add(src)
         for node in nodes:
             for backward, expected in ((True, oracle_trace(reach, node)),
                                        (False, oracle_track(reach, node))):
-                graph = lineage.closure(edges, node, backward)
+                adjacent = back if backward else forward
+                graph = lineage.closure(node, lambda n: adjacent.get(n, ()), backward)
                 assert graph.nodes == expected
                 assert graph.edges == induced_edges(edges, expected)
 

@@ -9,14 +9,18 @@ runs under the held-state lock, so a read never waits for a commit's fsync.
 
 A second check keeps one write path: only ``_commit`` writes to the store or
 the ledger, and ``_hold`` and ``_apply``, which turn committed bytes into held
-state, run only from ``_commit`` and at open (``__init__``, ``_replay``).
+state, run only from ``_commit`` and at open (``__init__``, ``_replay``). The
+graph index (``_owner``, ``_sites``) is derived from the held BoMs, so only
+``__init__`` and ``_hold`` may assign it or change it or its items.
 """
 
 import ast
 
 from test_stdlib_only import PACKAGE
 
-HELD = {"_components", "_assemblies", "_boms", "_runs", "_bols_by_bom", "_frozen_parts"}
+HELD = {
+    "_components", "_assemblies", "_boms", "_owner", "_sites", "_runs", "_bols_by_bom", "_frozen_parts",
+}
 EXEMPT = {"__init__", "_replay"}
 COMMIT = {"_commit_lock"}
 # each name of the write path, with the only functions that may use it
@@ -26,6 +30,10 @@ WRITE_PATH = {
     "_hold": {"_commit", "__init__", "_replay"},
     "_apply": {"_commit", "__init__", "_replay"},
 }
+# the graph index, the only functions that may change it, and the methods that only read it
+INDEX = {"_owner", "_sites"}
+INDEX_WRITERS = {"__init__", "_hold"}
+INDEX_READS = {"get", "keys", "values", "items", "__contains__"}
 
 
 def _functions(tree: ast.Module) -> dict[str, tuple[ast.FunctionDef, bool]]:
@@ -166,8 +174,28 @@ def test_held_state_is_used_only_under_the_held_state_lock():
     assert lock_breaches(source) == []
 
 
+def _changes(node: ast.Attribute, parents: dict[ast.AST, ast.AST]) -> bool:
+    """Whether this use of a map assigns or deletes it, or changes it or an item of it.
+
+    A method call counts as a change unless the method is in ``INDEX_READS``.
+    A change made through another name for the map is not seen.
+    """
+    while not isinstance(node.ctx, (ast.Store, ast.Del)):
+        parent = parents[node]
+        if isinstance(parent, ast.Subscript) and parent.value is node:
+            node = parent  # an item of the map
+        elif isinstance(parent, ast.Attribute):
+            return parent.attr not in INDEX_READS
+        else:
+            return False
+    return True
+
+
 def write_path_breaches(source: str) -> list[str]:
-    """``line: function: name`` for each use of a ``WRITE_PATH`` name outside its functions."""
+    """``line: function: name`` for each use of a ``WRITE_PATH`` name outside its
+    functions, and for each change to an ``INDEX`` map outside ``INDEX_WRITERS``."""
+    tree = ast.parse(source)
+    parents = {child: node for node in ast.walk(tree) for child in ast.iter_child_nodes(node)}
     found = []
 
     def visit(node, function):
@@ -176,10 +204,13 @@ def write_path_breaches(source: str) -> list[str]:
         elif isinstance(node, ast.Attribute) and node.attr in WRITE_PATH:
             if function not in WRITE_PATH[node.attr]:
                 found.append(f"{node.lineno}: {function}: {node.attr}")
+        elif isinstance(node, ast.Attribute) and node.attr in INDEX:
+            if function not in INDEX_WRITERS and _changes(node, parents):
+                found.append(f"{node.lineno}: {function}: {node.attr}")
         for child in ast.iter_child_nodes(node):
             visit(child, function)
 
-    visit(ast.parse(source), None)
+    visit(tree, None)
     return found
 
 
@@ -218,6 +249,41 @@ class Gateway:
         "23: seal: _apply",  # and a second way into held state
         "26: freeze: put_many",  # also when only named
         "28: freeze: _hold",
+    ]
+
+
+def test_the_index_check_sees_a_change_outside_hold():
+    source = '''
+class Gateway:
+    def __init__(self):
+        self._owner = {}
+        self._sites = {}
+
+    def _hold(self, bom):
+        for aid in bom.assemblies:
+            self._owner.pop(aid, None)
+            self._owner[aid] = bom.id
+            self._sites.setdefault(aid, set()).add((aid, "input"))
+
+    def trace(self, node):
+        if node in self._owner or self._owner.get(node) or self._owner.__contains__(node):
+            return sorted(self._sites.get(node, ())) + list(self._sites[node])
+
+    def find_uses(self, cid):
+        self._sites.setdefault(cid, set())
+        self._sites[cid].discard(None)
+        del self._owner[cid]
+
+    def reset(self):
+        self._owner = {}
+        self._sites[None] += 1
+'''
+    assert write_path_breaches(source) == [
+        "18: find_uses: _sites",  # a read method that changes the index
+        "19: find_uses: _sites",  # or an item of it
+        "20: find_uses: _owner",
+        "23: reset: _owner",
+        "24: reset: _sites",
     ]
 
 

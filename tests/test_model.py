@@ -21,7 +21,7 @@ from bomtrace.model import (
     validate_structure,
 )
 from conftest import build_hpc, build_two_stage_chain
-from graphutil import global_graph, has_cycle, random_ecosystem, transitive_closure
+from graphutil import global_graph, has_cycle, random_ecosystem, stored_boms, transitive_closure
 
 
 # -- components ----------------------------------------------------------
@@ -315,7 +315,7 @@ def test_random_dags_validate_clean_against_cycle_oracle(gw):
     assert len(nodes) >= 10
     reach = transitive_closure(nodes, edges)
     assert not has_cycle(reach)
-    for bom in gw._all_boms():
+    for bom in stored_boms(gw):
         assert gw.validate_bom(bom_id=bom.id).ok
 
 

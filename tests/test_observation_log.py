@@ -221,8 +221,14 @@ def test_a_skipped_bol_entry_keeps_its_deterministic_id(tmp_path):
         (BOL_SEALED, lambda bol, cid: {
             "bol_id": bol.id, "leaf_count": 1, "merkle_root": "0" * 64, "sealed_at": FIXED_NOW,
         }),
+        # a well-typed observation of a run that is already sealed
+        (OBSERVATION_RECORDED, lambda bol, cid: {
+            "bol_id": bol.id, "component_id": cid, "observation_index": 1,
+            "recorded_at": FIXED_NOW, "payload": "reading 1",
+        }),
     ],
-    ids=["bol_created_twice", "observation_of_wrong_types", "sealed_twice"],
+    ids=["bol_created_twice", "observation_of_wrong_types", "sealed_twice",
+         "observation_after_seal"],
 )
 def test_a_chained_entry_that_replay_refuses_is_skipped(tmp_path, entry_type, payload):
     gw = open_gateway(tmp_path)
@@ -240,6 +246,10 @@ def test_a_chained_entry_that_replay_refuses_is_skipped(tmp_path, entry_type, pa
     try:
         assert reopened.verify_chain() == (True, None)
         assert [dispatch(reopened, "GET", path) for path in paths] == answers
+        anchor = reopened.get_anchor(bol.id)
+        for index in range(anchor.leaf_count):
+            leaf, proof = reopened.inclusion_proof(bol.id, index)
+            assert verify_inclusion(leaf, proof, anchor.merkle_root), index
         named = {
             json.loads(line)["payload"]["bol_id"]
             for line in reopened.export_ledger().splitlines()

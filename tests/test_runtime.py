@@ -27,7 +27,7 @@ from bomtrace.ledger import (
 from bomtrace.runtime import BolStatus, bol_header_bytes, bol_leaves, observation_record_bytes
 from bomtrace.store import LOG_NAME
 from conftest import FIXED_NOW, Clock, build_hpc, build_two_stage_chain
-from graphutil import random_ecosystem
+from graphutil import random_ecosystem, stored_boms
 
 
 def test_case_study_bol_has_three_shadow_items(gw):
@@ -99,7 +99,7 @@ def test_instantiate_writes_ledger_entry(gw):
 def test_shadow_count_matches_distinct_components(gw):
     rng = random.Random(99)
     random_ecosystem(gw, rng, max_components=25, max_assemblies=10, max_boms=3)
-    for bom in gw._all_boms():
+    for bom in stored_boms(gw):
         distinct = set()
         for aid in bom.assemblies:
             distinct.update(gw.get_assembly(aid).components)
@@ -180,6 +180,16 @@ def test_record_after_seal_rejected(gw):
     gw.seal_bol(bol.id)
     with pytest.raises(BolSealed):
         gw.record_observation(bol.id, parts["result"], "late")
+
+
+@pytest.mark.parametrize("payload, note", [(7, None), (b"x", None), ("x", 7), ("x", b"note")])
+def test_record_of_a_payload_or_note_that_is_not_text_is_refused(gw, payload, note):
+    parts = build_hpc(gw)
+    bol = gw.instantiate_bol(parts["bom"])
+    before = gw.store.transaction_count
+    with pytest.raises(TypeError):
+        gw.record_observation_indexed(bol.id, parts["result"], payload, note)
+    assert gw.store.transaction_count == before
 
 
 def test_record_on_foreign_component_rejected(gw):
@@ -540,7 +550,7 @@ def test_concurrent_observations_serialize_cleanly(tmp_path):
 def test_bom_referenced_by_bol_is_always_frozen(gw):
     rng = random.Random(5)
     random_ecosystem(gw, rng, max_components=20, max_assemblies=6, max_boms=3)
-    boms = gw._all_boms()
+    boms = stored_boms(gw)
     bols = [gw.instantiate_bol(bom.id) for bom in boms[: max(1, len(boms) // 2)]]
     for bol in bols:
         assert gw.get_bom(bol.bom_id).frozen is True

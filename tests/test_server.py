@@ -231,6 +231,12 @@ def test_connection_closes_by_version_and_header(server, request_head, closes):
             assert _read_head(rfile)[0] == b"HTTP/1.1 200 OK"
 
 
+def test_a_target_that_starts_with_two_slashes_is_a_path(server):
+    """``urlsplit`` reads ``//healthz`` as a host; the server reads it as ``/healthz``."""
+    status, body, _, _ = _send_raw(server, b"GET //healthz HTTP/1.1\r\nConnection: close\r\n\r\n")
+    assert (status, body) == (200, {"status": "ok"})
+
+
 def test_empty_line_before_a_request_is_ignored(server):
     with socket.create_connection(server.server_address, timeout=5) as sock, \
             sock.makefile("rb") as rfile:
