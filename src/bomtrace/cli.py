@@ -305,7 +305,7 @@ def main(argv: list[str] | None = None) -> int:
         try:
             doc = json.loads(response.decode("utf-8"))
             print(f"error[{doc['code']}]: {doc['message']}", file=sys.stderr)
-        except (UnicodeDecodeError, json.JSONDecodeError, KeyError):
+        except (UnicodeDecodeError, json.JSONDecodeError, KeyError, TypeError):
             print(f"error: HTTP {status}", file=sys.stderr)
         return 1
 

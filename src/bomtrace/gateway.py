@@ -541,8 +541,11 @@ class Gateway:
                     f"component {component_id} is not part of BoL {bol_id}'s BoM",
                     detail={"bol_id": bol_id, "component_id": component_id},
                 )
-            # a run's components are those of its BoM, so each is held
-            return dict(self._components[component_id].access_metadata)
+            # a run's components are those of its BoM, so each is held; its
+            # metadata is the read-only proxy ComponentRecord.from_dict wraps
+            # round a fresh dict, whose copy() is a C-level dict copy, where
+            # dict(proxy) walks the mapping protocol one key at a time
+            return self._components[component_id].access_metadata.copy()
 
     def record_observation(
         self,

@@ -236,7 +236,9 @@ def main(argv: list[str] | None = None) -> int:
         logger.error("cannot open data directory %s: %s", args.data_dir, exc)
         return 1
     server = ApiServer(gateway, args.host, args.port, args.base_path)
-    logger.info("listening on http://%s:%d%s", args.host, args.port, server.base_path)
+    logger.info(
+        "listening on http://%s:%d%s", args.host, server.server_address[1], server.base_path
+    )
     try:
         server.serve_forever()
     except KeyboardInterrupt:

@@ -47,6 +47,11 @@ def test_floats_rejected():
         canonical_bytes(1.5)
     with pytest.raises(CanonicalEncodingError):
         canonical_bytes({"x": [1, 2.0]})
+    # nor has any other type outside JSON, alone or nested
+    for value in (b"x", {1}, object()):
+        for wrapped in (value, [1, value], ("a", value), {"k": {"v": [value]}}):
+            with pytest.raises(CanonicalEncodingError):
+                canonical_bytes(wrapped)
 
 
 def test_non_string_keys_rejected():

@@ -1,3 +1,4 @@
+import http.server
 import json
 import threading
 
@@ -176,7 +177,10 @@ def test_usage_errors_exit_two(workdir, capsys):
     with pytest.raises(SystemExit) as exc:
         main(["bom", "show", "x"])  # neither --server nor --embedded
     assert exc.value.code == 2
-    capsys.readouterr()
+    with pytest.raises(SystemExit) as exc:
+        main(["--embedded", "bom", "show", "x"])
+    assert exc.value.code == 2
+    assert "--embedded requires --data-dir" in capsys.readouterr().err
 
 
 def test_missing_manifest_file_exits_one(workdir, capsys):
@@ -197,6 +201,11 @@ def test_ledger_export_writes_api_bytes(workdir, capsys):
     finally:
         gateway.close()
     assert target.read_bytes() == expected
+    code, out, _ = run_cli(
+        workdir, "ledger", "export", str(target), json_mode=True, capsys=capsys
+    )
+    assert code == 0
+    assert out.encode() == expected == target.read_bytes()
 
 
 def test_every_subcommand_maps_to_one_known_endpoint():
@@ -375,3 +384,37 @@ def test_server_unreachable_exits_one(workdir, capsys):
     out, err = capsys.readouterr()
     assert code == 1
     assert "unreachable" in err
+
+
+class _ErrorStub(http.server.BaseHTTPRequestHandler):
+    """Answers every GET with 502 and the server's ``body``, as a failing proxy might."""
+
+    def do_GET(self):
+        self.send_response(502)
+        self.send_header("Content-Length", str(len(self.server.body)))
+        self.end_headers()
+        self.wfile.write(self.server.body)
+
+    def log_message(self, *args):
+        pass
+
+
+@pytest.mark.parametrize("body, expected", [
+    (b'["upstream", "down"]', "error: HTTP 502"),
+    (b'"busy"', "error: HTTP 502"),
+    (b'{"code": "X"}', "error: HTTP 502"),
+    (b"<html><body>Bad Gateway</body></html>", "error: HTTP 502"),
+    (b'{"code": "X", "message": "upstream down"}', "error[X]: upstream down"),
+], ids=["list", "string", "object_without_message", "html", "error_document"])
+def test_error_body_of_any_shape_exits_one(capsys, body, expected):
+    stub = http.server.ThreadingHTTPServer(("127.0.0.1", 0), _ErrorStub)
+    stub.body = body
+    thread = threading.Thread(target=stub.serve_forever, daemon=True)
+    thread.start()
+    try:
+        code = main(["--server", f"http://127.0.0.1:{stub.server_address[1]}", "ledger", "verify"])
+        out, err = capsys.readouterr()
+        assert (code, out, err) == (1, "", expected + "\n")
+    finally:
+        stub.shutdown()
+        stub.server_close()

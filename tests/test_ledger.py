@@ -86,8 +86,9 @@ def test_payload_is_chained_as_its_canonical_bytes(store):
 
 def test_payload_with_no_canonical_form_is_refused(store):
     ledger = Ledger(store)
-    with pytest.raises(CanonicalEncodingError):
-        ledger.append_entry(BOL_CREATED, {"score": 0.5})
+    for payload in ({"score": 0.5}, {"blob": b"x"}, {"tags": [{1}]}, object()):
+        with pytest.raises(CanonicalEncodingError):
+            ledger.append_entry(BOL_CREATED, payload)
     assert (ledger.count, store.transaction_count) == (0, 0)
 
 

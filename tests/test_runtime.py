@@ -1,6 +1,9 @@
 import dataclasses
 import hashlib
+import itertools
+import json
 import random
+from types import MappingProxyType
 
 import pytest
 
@@ -24,7 +27,7 @@ from bomtrace.ledger import (
     merkle_root,
     verify_inclusion,
 )
-from bomtrace.runtime import BolStatus, bol_header_bytes, bol_leaves, observation_record_bytes
+from bomtrace.runtime import Bol, BolStatus, bol_header_bytes, bol_leaves, observation_record_bytes
 from bomtrace.store import LOG_NAME
 from conftest import FIXED_NOW, Clock, build_hpc, build_two_stage_chain
 from graphutil import random_ecosystem, stored_boms
@@ -135,6 +138,59 @@ def test_resolve_access_component_from_other_bom(gw):
 def test_resolve_access_unknown_bol(gw):
     with pytest.raises(UnknownBol):
         gw.resolve_access("bol_" + "0" * 32, "ds_" + "0" * 32)
+
+
+def test_resolve_access_answers_a_fresh_dict_of_the_held_read_only_metadata(tmp_path, clock):
+    """Inline, listed and reopened components alike: the held metadata is read-only,
+    and each answer is a new dict whose changes reach nothing held or served."""
+    gw = Gateway(tmp_path / "data", deterministic_ids=True, clock=clock)
+    listed = gw.create_component(
+        "data_source", "Listed",
+        access_metadata={"dataAccess": "https://xyz.com/1.jpg", "licence": "CC-BY-4.0"},
+    )
+    bom = gw.define_bom({
+        "name": "Access",
+        "assemblies": [{
+            "name": "Join",
+            "inputData": [
+                listed.id, {"name": "Inline", "metadata": {"dataAccess": "https://xyz.com/2.jpg"}}
+            ],
+            "outputData": [{"name": "Out"}],
+        }],
+    })
+    assembly = gw.get_assembly(bom.assemblies[0])
+    expected = {
+        listed.id: {"dataAccess": "https://xyz.com/1.jpg", "licence": "CC-BY-4.0"},
+        assembly.input_data[1]: {"dataAccess": "https://xyz.com/2.jpg"},
+        assembly.output_data[0]: {},
+    }
+    bol = gw.instantiate_bol(bom.id)
+
+    def check(gw):
+        for cid, metadata in expected.items():
+            held = gw.get_component(cid).access_metadata
+            assert type(held) is MappingProxyType
+            with pytest.raises(TypeError):
+                held["dataAccess"] = "https://elsewhere.com/"
+            path = f"/bols/{bol.id}/components/{cid}/access"
+            served = dispatch(gw, "GET", path)
+            answer = gw.resolve_access(bol.id, cid)
+            assert type(answer) is dict and answer == metadata
+            answer["dataAccess"] = "https://elsewhere.com/"
+            answer["extra"] = "x"
+            assert gw.get_component(cid).access_metadata == metadata
+            assert gw.resolve_access(bol.id, cid) == metadata
+            assert dispatch(gw, "GET", path) == served
+
+    try:
+        check(gw)
+    finally:
+        gw.close()
+    reopened = Gateway(tmp_path / "data", deterministic_ids=True, clock=clock)
+    try:
+        check(reopened)
+    finally:
+        reopened.close()
 
 
 # -- observations ------------------------------------------------------------
@@ -484,6 +540,39 @@ def test_sealed_bol_bytes_unchanged_by_rejected_mutations(gw, tmp_path):
     assert gw.export_ledger() == ledger_before
     assert dispatch(gw, "GET", f"/bols/{bol.id}")[2] == before
     assert canonical_bytes(gw.get_bol(bol.id).to_dict()) == before
+
+
+def test_bol_from_dict_reads_back_the_served_document(tmp_path, clock):
+    gw = Gateway(tmp_path / "data", deterministic_ids=True, clock=clock)
+    parts = build_hpc(gw)
+    bol_ids = []
+    for sealed, label, note in itertools.product((False, True), (None, "run-1"), (None, "cam 3")):
+        bol = gw.instantiate_bol(parts["bom"], run_label=label)
+        gw.record_observation(bol.id, parts["result"], "congestion_score=7", note)
+        gw.record_observation(bol.id, parts["scene"], "frame 12")
+        if sealed:
+            gw.seal_bol(bol.id)
+        bol_ids.append(bol.id)
+
+    def check(gw):
+        for bol_id in bol_ids:
+            status, _, body = dispatch(gw, "GET", f"/bols/{bol_id}")
+            assert status == 200
+            assert Bol.from_dict(json.loads(body)) == gw.require_bol(bol_id)
+
+    try:
+        check(gw)
+        bols = [gw.require_bol(bol_id) for bol_id in bol_ids]
+        assert [b.anchor is not None for b in bols] == [False] * 4 + [True] * 4
+        assert {b.run_label for b in bols} == {None, "run-1"}
+        assert {b.shadow_items[parts["result"]].observations[0].note for b in bols} == {None, "cam 3"}
+    finally:
+        gw.close()
+    reopened = Gateway(tmp_path / "data", deterministic_ids=True, clock=clock)
+    try:
+        check(reopened)
+    finally:
+        reopened.close()
 
 
 def test_anchor_deterministic_across_store_instances(tmp_path):

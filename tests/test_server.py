@@ -1,9 +1,14 @@
 import http.client
 import json
+import os
 import platform
 import re
+import select
+import signal
 import socket
 import statistics
+import subprocess
+import sys
 import threading
 import time
 
@@ -500,3 +505,30 @@ def test_corrupt_data_directory_exits_one(tmp_path, caplog, log):
     assert server_module.main(["--data-dir", str(data), "--port", "0"]) == 1
     assert "corrupt store log at byte 0: " in caplog.text
     assert "Traceback" not in caplog.text
+
+
+def test_main_on_port_zero_logs_the_port_it_bound(tmp_path):
+    src = os.path.dirname(os.path.dirname(server_module.__file__))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "bomtrace.server", "--port", "0",
+         "--data-dir", str(tmp_path / "data")],
+        env={**os.environ, "PYTHONPATH": src}, stderr=subprocess.PIPE, text=True,
+    )
+    try:
+        assert select.select([proc.stderr], [], [], 30)[0], "no log line within 30 s"
+        line = proc.stderr.readline()
+        match = re.search(r" listening on http://127\.0\.0\.1:(\d+)\n$", line)
+        assert match and match.group(1) != "0", line
+        conn = http.client.HTTPConnection("127.0.0.1", int(match.group(1)), timeout=5)
+        try:
+            conn.request("GET", "/healthz")
+            response = conn.getresponse()
+            assert (response.status, response.read()) == (200, b'{"status":"ok"}')
+        finally:
+            conn.close()
+        proc.send_signal(signal.SIGINT)
+        assert proc.wait(timeout=30) == 0
+    finally:
+        proc.kill()
+        proc.wait()
+        proc.stderr.close()
