@@ -510,7 +510,7 @@ def test_corrupt_data_directory_exits_one(tmp_path, caplog, log):
 def test_main_on_port_zero_logs_the_port_it_bound(tmp_path):
     src = os.path.dirname(os.path.dirname(server_module.__file__))
     proc = subprocess.Popen(
-        [sys.executable, "-m", "bomtrace.server", "--port", "0",
+        [sys.executable, "-m", "bomtrace.server", "--host", "127.0.0.1", "--port", "0",
          "--data-dir", str(tmp_path / "data")],
         env={**os.environ, "PYTHONPATH": src}, stderr=subprocess.PIPE, text=True,
     )
